@@ -1,5 +1,8 @@
-"""Comparison systems of Table 3: the Encore Multimax configuration and
-the sequential (T-compiled) baselines."""
+"""Comparison systems of Table 3: the Encore Multimax configuration.
+
+The sequential baselines (T seq, Mul-T seq) need no module of their
+own: :mod:`repro.harness.table3` builds them as grid cells compiled in
+sequential mode."""
 
 from repro.baselines.encore import encore_config
 

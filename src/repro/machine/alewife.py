@@ -1,9 +1,14 @@
 """The ALEWIFE machine simulator (paper Sections 2 and 7, Figure 4).
 
 Ties processors, memory system, and run-time system together and runs
-the whole machine with an event-driven loop: the processor with the
-smallest local clock executes next, so inter-processor interleavings
-respect simulated time without a global lock-step sweep.
+the whole machine with one slice scheduler (:class:`MachineStepper`):
+the processor with the smallest local clock executes next, for as long
+as its clock stays strictly below every other, so inter-processor
+interleavings respect simulated time without a global lock-step sweep.
+:meth:`AlewifeMachine.run` drives it to completion with the fast step
+(superblocks and JIT blocks through ``step_block``) or the reference
+step (``step()``, which every observability hook sees); the monitor
+drives the same scheduler one step at a time.
 
 Two memory modes (matching the paper's methodology):
 
@@ -44,18 +49,23 @@ class MachineResult:
 class AlewifeMachine:
     """An N-node ALEWIFE machine executing one loaded program.
 
-    ``fastpath`` selects the interpreter/loop generation.  ``True`` (the
+    :meth:`run` and :meth:`stepper` share one schedule, the
+    :class:`MachineStepper` slice scheduler; only the step it calls
+    varies.
+
+    ``fastpath`` selects the interpreter generation.  ``True`` (the
     default) uses predecoded dispatch plus — when every observability
-    hook is dormant — the superblock fast loops; ``False`` pins every
-    processor to the original decode + if-chain interpreter and the
-    per-instruction heapq loop, which is the oracle side of the
-    differential lockstep harness.  It is deliberately a constructor
-    argument and *not* a :class:`MachineConfig` knob, so experiment
-    cache fingerprints are unaffected.
+    hook is dormant — the fast step, which hands whole superblocks to
+    ``step_block``; ``False`` pins every processor to the original
+    decode + if-chain interpreter on the reference step, which is the
+    oracle side of the differential lockstep harness.  It is
+    deliberately a constructor argument and *not* a
+    :class:`MachineConfig` knob, so experiment cache fingerprints are
+    unaffected.
 
     ``jit`` gates the third interpreter tier (:mod:`repro.core.jit`):
     hot superblocks compiled to generated Python functions.  ``False``
-    (CLI ``--no-jit``) caps the fast path at the PR 5 closure tier —
+    (CLI ``--no-jit``) caps the fast path at the closure tier —
     the A/B knob for pricing what the generated code is worth.  Same
     contract as ``fastpath``: a constructor argument, not a config
     knob, and architecturally invisible (the lockstep harness pins all
@@ -74,15 +84,15 @@ class AlewifeMachine:
         self.memory.load_program(program)
         self.time = 0
         self.fastpath = fastpath
-        #: Which execution loop :meth:`run` chose ("fast-sequential",
-        #: "fast-sliced", or "reference"); set at run time, for tests.
+        #: Which step the scheduler took: "fast" or "reference" (set
+        #: by :meth:`run`) or "stepper" (set by :meth:`stepper`); tests.
         self.loop_used = None
         #: Observability slots (see :mod:`repro.obs`): an attached
         #: ``Observation`` wires these; ``None`` keeps the fast path.
         self.sampler = None
         self.events = None
-        #: Optional :class:`repro.obs.flight.Watchdog`; every loop polls
-        #: its ``next_check_at`` and :meth:`run` converts the run-time
+        #: Optional :class:`repro.obs.flight.Watchdog`; the scheduler
+        #: polls its ``next_check_at`` and converts the run-time
         #: system's deadlock abort into a typed ``HangDetected``.
         self.watchdog = None
         decoder = DecodeCache()
@@ -123,19 +133,19 @@ class AlewifeMachine:
     def _hooks_dormant(self):
         """True when no observability hook anywhere can observe steps.
 
-        This is the PR 1 dormant-hook contract: the superblock fast
-        loops are only legal when nothing samples, traces, profiles, or
-        accounts per instruction/charge, so batching cannot change what
-        an observer would have seen.
+        This is the dormant-hook contract: the fast step is only legal
+        when nothing samples, traces, profiles, or accounts per
+        instruction/charge, so batching cannot change what an observer
+        would have seen.
 
         One refinement: an event bus marked ``coarse=True`` (the flight
-        recorder's) does not pin the reference loop.  Every event kind
+        recorder's) does not pin the reference step.  Every event kind
         is emitted outside fused superblocks — traps, scheduling,
         futures, network, memory transactions — and their cycle stamps
         are identical on the fast and reference paths (the lockstep
         harness proves the schedules equal), so a coarse-only consumer
         observes the same stream either way.  A default
-        (``coarse=False``) bus still forces the reference loop, as
+        (``coarse=False``) bus still forces the reference step, as
         before.
         """
         if self.sampler is not None:
@@ -156,259 +166,16 @@ class AlewifeMachine:
     def run(self, entry="main", args=(), max_cycles=200_000_000):
         """Run ``entry`` on the machine; returns a :class:`MachineResult`.
 
-        Raises :class:`SimulationError` on deadlock or cycle exhaustion.
+        Raises :class:`SimulationError` on deadlock or cycle exhaustion
+        (a :class:`~repro.errors.HangDetected` when a watchdog is
+        attached and names the hang).
         """
-        runtime = self.runtime
-        runtime.spawn_main(entry, args)
-
-        if self.watchdog is not None:
-            self.watchdog.next_check_at = self.watchdog.interval
-        try:
-            if self.fastpath and self._hooks_dormant():
-                if len(self.cpus) == 1:
-                    self.loop_used = "fast-sequential"
-                    self._run_fast_sequential(max_cycles)
-                else:
-                    self.loop_used = "fast-sliced"
-                    self._run_fast_sliced(max_cycles)
-            else:
-                self.loop_used = "reference"
-                self._run_reference(max_cycles)
-        except DeadlockError as exc:
-            # The idle-streak deadlock abort fires long before the
-            # watchdog's periodic window; with a watchdog attached it
-            # becomes the same typed post-mortem result.
-            if self.watchdog is not None:
-                self.time = max(self.time,
-                                max(cpu.cycles for cpu in self.cpus))
-                raise self.watchdog.on_deadlock(self.time, exc) from exc
-            raise
-
-        self.time = max(self.time, max(cpu.cycles for cpu in self.cpus))
-        if self.sampler is not None:
-            self.sampler.finish(self.time)
-        return MachineResult(self, runtime.result)
-
-    def _cycle_limit_error(self, max_cycles):
-        return SimulationError(
-            "cycle limit %d exceeded (deadlock or undersized limit)"
-            % max_cycles)
-
-    def _run_reference(self, max_cycles):
-        """The per-instruction event loop every hook observes.
-
-        This is the oracle path: it runs whenever observability is
-        attached (or ``fastpath=False``), executing one instruction per
-        iteration through :meth:`Processor.step` so every hook sees the
-        exact per-instruction interleaving.
-
-        The only departure from the seed loop is *pop slicing*: after
-        popping the earliest processor, it keeps stepping it while its
-        clock stays strictly below the next queue entry.  The seed loop
-        would re-push and immediately re-pop the same processor in that
-        situation (strict minimum wins; at a clock tie the earlier
-        sequence number — the entry still in the queue — wins), so the
-        schedule, and therefore every observable, is unchanged; each
-        in-slice iteration still advances :attr:`time`, polls the
-        sampler, and enforces the cycle limit exactly as a pop did.
-        """
-        runtime = self.runtime
-        cpus = self.cpus
-        sampler = self.sampler
-        watchdog = self.watchdog
-        fabric = self.fabric
-        has_work = runtime.has_work
-        on_idle = runtime.on_idle
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        idle_limit = 4 * len(cpus)
-
-        # Event queue of (local clock, sequence, cpu index); the
-        # sequence breaks ties deterministically.
-        queue = []
-        seq = 0
-        for index, cpu in enumerate(cpus):
-            heappush(queue, (cpu.cycles, seq, index))
-            seq += 1
-
-        idle_streak = 0
-        while not runtime.done:
-            if not queue:
-                raise SimulationError(
-                    "all processors halted without a result")
-            _, _, index = heappop(queue)
-            cpu = cpus[index]
-            if cpu.halted:
-                # A halted processor never makes progress again: drop
-                # it from the event queue instead of re-popping it at a
-                # frozen clock forever.
-                continue
-            while True:
-                before = cpu.cycles
-                if before > self.time:
-                    self.time = before
-                if (sampler is not None
-                        and self.time >= sampler.next_sample_at):
-                    sampler.sample(self.time)
-                if (watchdog is not None
-                        and self.time >= watchdog.next_check_at):
-                    watchdog.check(self.time)
-                if self.time > max_cycles:
-                    raise self._cycle_limit_error(max_cycles)
-
-                if fabric is not None:
-                    fabric.advance_to(self.time)
-
-                if has_work(cpu):
-                    cpu.step()
-                    idle_streak = 0
-                elif on_idle(cpu):
-                    idle_streak = 0
-                else:
-                    idle_streak += 1
-                    if idle_streak > idle_limit:
-                        runtime.check_deadlock()
-
-                if (cpu.cycles == before or cpu.halted or runtime.done
-                        or (queue and cpu.cycles >= queue[0][0])):
-                    # Zero progress re-arbitrates (the re-pushed entry
-                    # loses any clock tie, exactly like the seed loop);
-                    # reaching the next entry's clock ends the slice.
-                    break
-
-            if not cpu.halted:
-                heappush(queue, (cpu.cycles, seq, index))
-                seq += 1
-
-    def _run_fast_sequential(self, max_cycles):
-        """Single-CPU fast loop: no heapq, superblocks unbounded.
-
-        With one processor there is no interleaving to arbitrate, so
-        the event queue is pure overhead: this loop just drives the CPU
-        directly, letting :meth:`Processor.step_block` fuse every
-        straight-line run it finds.
-        """
-        runtime = self.runtime
-        cpu = self.cpus[0]
-        step_block = cpu.step_block
-        has_work = runtime.has_work
-        on_idle = runtime.on_idle
-        watchdog = self.watchdog
-        no_budget_limit = 1 << 62
-        idle_streak = 0
-        while not runtime.done:
-            if cpu.halted:
-                raise SimulationError(
-                    "all processors halted without a result")
-            if has_work(cpu):
-                step_block(no_budget_limit)
-                idle_streak = 0
-            elif on_idle(cpu):
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak > 4:
-                    runtime.check_deadlock()
-            if watchdog is not None and cpu.cycles >= watchdog.next_check_at:
-                watchdog.check(cpu.cycles)
-            if cpu.cycles > max_cycles:
-                self.time = cpu.cycles
-                raise self._cycle_limit_error(max_cycles)
-        self.time = max(self.time, cpu.cycles)
-
-    def _run_fast_sliced(self, max_cycles):
-        """Multi-CPU fast loop: heapq of *slices* instead of steps.
-
-        Equivalence with :meth:`_run_reference`: once a CPU is popped
-        as the minimum clock, the reference loop keeps re-popping it
-        while its clock stays *strictly* below the next entry's clock
-        (at equality the waiting entry's older sequence number wins).
-        So granting the popped CPU an uninterrupted slice bounded by
-        the next queue head's clock is exactly the reference schedule —
-        provided no fused superblock overshoots the bound, which
-        ``step_block(budget)`` guarantees (fused instructions cost one
-        cycle each).  Cross-CPU interactions (shared memory is
-        serialized by the host; IPIs are timestamped by the receiver's
-        own clock at delivery) therefore happen at identical simulated
-        times.  Halted CPUs are dropped instead of re-pushed.
-        """
-        runtime = self.runtime
-        cpus = self.cpus
-        fabric = self.fabric
-        watchdog = self.watchdog
-        has_work = runtime.has_work
-        on_idle = runtime.on_idle
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        idle_limit = 4 * len(cpus)
-
-        queue = []
-        seq = 0
-        for index, cpu in enumerate(cpus):
-            heappush(queue, (cpu.cycles, seq, index))
-            seq += 1
-
-        idle_streak = 0
-        while not runtime.done:
-            if not queue:
-                raise SimulationError(
-                    "all processors halted without a result")
-            when, _, index = heappop(queue)
-            cpu = cpus[index]
-            if cpu.halted:
-                continue
-            if when > self.time:
-                self.time = when
-            if watchdog is not None and self.time >= watchdog.next_check_at:
-                # Slices are bounded by the next queue head, so the
-                # check lags `interval` by at most one slice.
-                watchdog.check(self.time)
-            if self.time > max_cycles:
-                raise self._cycle_limit_error(max_cycles)
-            if fabric is not None:
-                # advance_to is documented time-driven-work-free
-                # (transactions compute completion at issue), so once
-                # per slice is as good as once per instruction.
-                fabric.advance_to(self.time)
-
-            # The slice: run while this CPU's clock is strictly the
-            # minimum.  With the queue momentarily holding the *other*
-            # CPUs, the bound is the next head's clock.  The pop
-            # already arbitrated any clock tie, so the first iteration
-            # always runs — with a zero budget no superblock fits and
-            # step_block degrades to exactly one reference step.
-            horizon = queue[0][0] if queue else when + 4096
-            budget = horizon - cpu.cycles
-            while True:
-                if has_work(cpu):
-                    # Tiny budgets (tightly interleaved clocks) cannot
-                    # fit a superblock worth fusing; skip straight to a
-                    # single step rather than paying the block lookup.
-                    if budget >= 4:
-                        spent = cpu.step_block(budget)
-                    else:
-                        spent = cpu.step()
-                    idle_streak = 0
-                    if spent == 0:
-                        # Halted (or a zero-cost trap in an exotic
-                        # config): yield to the event queue's tie-break.
-                        break
-                elif on_idle(cpu):
-                    idle_streak = 0
-                else:
-                    idle_streak += 1
-                    if idle_streak > idle_limit:
-                        runtime.check_deadlock()
-                    break
-                if runtime.done or cpu.halted:
-                    break
-                budget = horizon - cpu.cycles
-                if budget <= 0:
-                    break
-
-            if not cpu.halted:
-                heappush(queue, (cpu.cycles, seq, index))
-                seq += 1
+        schedule = MachineStepper(self, entry=entry, args=args,
+                                  max_cycles=max_cycles)
+        fast = self.fastpath and self._hooks_dormant()
+        self.loop_used = "fast" if fast else "reference"
+        schedule.run_slices(_MIN_BLOCK if fast else _NO_BLOCK)
+        return schedule.result()
 
     def stats(self):
         """Current :class:`MachineStats` snapshot."""
@@ -422,8 +189,19 @@ class AlewifeMachine:
         single-step / run-until substrate).  Use *either* :meth:`run`
         or a stepper on a given machine, never both.
         """
+        self.loop_used = "stepper"
         return MachineStepper(self, entry=entry, args=args,
                               max_cycles=max_cycles)
+
+
+#: Slice bound of a processor with no other live processor queued: it
+#: runs until a deadline, a halt, or the end of the program.
+_UNBOUNDED = 1 << 62
+#: Smallest budget the fast step hands to ``step_block``; a tighter
+#: slice cannot fit a superblock worth fusing, so it takes one step().
+_MIN_BLOCK = 4
+#: ``min_block`` of the reference step: never call ``step_block``.
+_NO_BLOCK = 1 << 63
 
 
 class StepInfo:
@@ -445,20 +223,32 @@ class StepInfo:
 
 
 class MachineStepper:
-    """Per-instruction, resumable driver over one machine run.
+    """The machine's slice scheduler, resumable across calls.
 
-    Replays exactly the :meth:`AlewifeMachine._run_reference` schedule
-    in its pre-pop-slicing form: pop the earliest processor, run one
-    iteration, re-push with a fresh sequence number.  (Pop slicing was
-    proven schedule-identical to that seed loop, so a stepper-driven
-    run executes the same interleaving as ``machine.run()`` — the
-    monitor observes the run it would have gotten, one step at a time.)
+    One event queue of ``(local clock, sequence, cpu index)`` entries
+    orders the processors; the sequence number breaks clock ties.
+    :meth:`run_slices` pops the earliest entry and runs that processor
+    for a *slice* — while its clock stays strictly below the next
+    queue head — then re-pushes it with a fresh sequence number.
+    Stepping one instruction per pop would pop the same processor
+    again at every point inside the slice (a strict minimum wins, and
+    at a tie the entry still queued holds the older sequence number),
+    so slicing changes no interleaving.  Halted processors are dropped
+    instead of re-pushed.
 
-    The heapq state persists across calls, which is what makes the run
-    *resumable*: breakpoint checks are a ``guard`` callable consulted
-    after arbitration but before execution; a guarded stop re-pushes
-    the popped entry unchanged (same sequence number), so stopping and
-    resuming cannot perturb tie-breaking.
+    :meth:`AlewifeMachine.run` drives one scheduler to completion with
+    either step: the fast one hands ``step_block`` the cycles left
+    before the horizon (fused superblocks cost one cycle per
+    instruction, so no block overshoots it), the reference one calls
+    ``step()``.  The monitor drives one-step slices through
+    :meth:`step_machine`; the queue and the idle streak persist across
+    calls, which is what makes a run resumable.
+
+    The cycle limit and the sampler and watchdog polls run at pops, at
+    the machine time the popped clock sets.  Their next due clock is a
+    deadline that ends a slice after the step that reaches it — it
+    never shrinks the step budget — and the following pop runs the
+    poll at exactly the clock a one-step loop would have.
     """
 
     def __init__(self, machine, entry="main", args=(),
@@ -466,15 +256,14 @@ class MachineStepper:
         self.machine = machine
         self.runtime = machine.runtime
         self.max_cycles = max_cycles
-        machine.loop_used = "stepper"
         self.runtime.spawn_main(entry, args)
-        self._queue = []
-        self._seq = 0
-        for index, cpu in enumerate(machine.cpus):
-            heapq.heappush(self._queue, (cpu.cycles, self._seq, index))
-            self._seq += 1
+        if machine.watchdog is not None:
+            machine.watchdog.next_check_at = machine.watchdog.interval
+        self._queue = [(cpu.cycles, index, index)
+                       for index, cpu in enumerate(machine.cpus)]
+        heapq.heapify(self._queue)
+        self._seq = len(self._queue)
         self._idle_streak = 0
-        self._idle_limit = 4 * len(machine.cpus)
 
     @property
     def done(self):
@@ -491,6 +280,8 @@ class MachineStepper:
         machine = self.machine
         machine.time = max(machine.time,
                            max(cpu.cycles for cpu in machine.cpus))
+        if machine.sampler is not None:
+            machine.sampler.finish(machine.time)
         return MachineResult(machine, self.runtime.result)
 
     def step_machine(self, guard=None):
@@ -500,56 +291,134 @@ class MachineStepper:
             guard: optional ``guard(cpu) -> bool`` consulted when the
                 arbitrated processor is about to execute an
                 instruction; returning True stops *before* executing
-                (breakpoints).  Idle iterations never consult it.
+                (breakpoints) and re-queues the same entry, so stopping
+                cannot perturb tie-breaking.  Idle iterations never
+                consult it.
 
         Returns a :class:`StepInfo`, or ``None`` once the run is done.
         Raises :class:`SimulationError` on deadlock, cycle exhaustion,
         or all processors halting.
         """
+        return self.run_slices(one_step=True, guard=guard)
+
+    def _deadline(self):
+        """The clock at which the next poll or the cycle limit is due."""
+        machine = self.machine
+        deadline = self.max_cycles + 1
+        if machine.sampler is not None:
+            deadline = min(deadline, machine.sampler.next_sample_at)
+        if machine.watchdog is not None:
+            deadline = min(deadline, machine.watchdog.next_check_at)
+        return deadline
+
+    def run_slices(self, min_block=_NO_BLOCK, one_step=False, guard=None):
+        """Run slices until the program is done.
+
+        ``min_block`` picks the step: a slice budget of at least that
+        many cycles goes to ``step_block``, anything less to ``step()``
+        (so :data:`_NO_BLOCK` is the reference step).  ``one_step``
+        ends after a single one-iteration slice and returns its
+        :class:`StepInfo`; ``guard`` is described at
+        :meth:`step_machine`.
+        """
         machine = self.machine
         runtime = self.runtime
-        while True:
-            if runtime.done:
-                return None
-            if not self._queue:
-                raise SimulationError(
-                    "all processors halted without a result")
-            entry = heapq.heappop(self._queue)
-            cpu = machine.cpus[entry[2]]
-            if not cpu.halted:
-                break
-        if cpu.cycles > machine.time:
-            machine.time = cpu.cycles
-        if machine.time > self.max_cycles:
-            heapq.heappush(self._queue, entry)
-            raise machine._cycle_limit_error(self.max_cycles)
-        if machine.fabric is not None:
-            machine.fabric.advance_to(machine.time)
+        cpus = machine.cpus
+        queue = self._queue
+        fabric = machine.fabric
+        sampler = machine.sampler
+        watchdog = machine.watchdog
+        has_work = runtime.has_work
+        on_idle = runtime.on_idle
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        max_cycles = self.max_cycles
+        idle_limit = 4 * len(cpus)
+        idle_streak = self._idle_streak
+        seq = self._seq
+        time = machine.time
+        deadline = self._deadline()
+        try:
+            while not runtime.done:
+                if not queue:
+                    raise SimulationError(
+                        "all processors halted without a result")
+                entry = heappop(queue)
+                index = entry[2]
+                cpu = cpus[index]
+                if cpu.halted:
+                    continue
+                if cpu.cycles > time:
+                    time = machine.time = cpu.cycles
+                if time >= deadline:
+                    if sampler is not None and time >= sampler.next_sample_at:
+                        sampler.sample(time)
+                    if (watchdog is not None
+                            and time >= watchdog.next_check_at):
+                        watchdog.check(time)
+                    if time > max_cycles:
+                        heappush(queue, entry)
+                        raise SimulationError(
+                            "cycle limit %d exceeded (deadlock or "
+                            "undersized limit)" % max_cycles)
+                    deadline = self._deadline()
+                if fabric is not None:
+                    # Time-driven-work-free (transactions compute their
+                    # completion at issue), so once per slice suffices.
+                    fabric.advance_to(time)
 
-        index = entry[2]
-        pc = None
-        executed = False
-        if runtime.has_work(cpu):
-            pc = cpu.frames[cpu.fp].pc
-            if guard is not None and guard(cpu):
-                heapq.heappush(self._queue, entry)
-                return StepInfo(index, pc, executed=False, stopped=True)
-            cpu.step()
-            executed = True
-            self._idle_streak = 0
-        elif runtime.on_idle(cpu):
-            self._idle_streak = 0
-        else:
-            self._idle_streak += 1
-            if self._idle_streak > self._idle_limit:
-                # May raise DeadlockError; the machine is terminally
-                # stuck then, so losing this queue entry is harmless
-                # (any further stepping re-detects via another node).
-                runtime.check_deadlock()
-        if not cpu.halted:
-            heapq.heappush(self._queue, (cpu.cycles, self._seq, index))
-            self._seq += 1
-        return StepInfo(index, pc, executed=executed, stopped=False)
+                horizon = queue[0][0] if queue else _UNBOUNDED
+                if one_step:
+                    bound = -1
+                    pc = None
+                    if has_work(cpu):
+                        pc = cpu.frames[cpu.fp].pc
+                        if guard is not None and guard(cpu):
+                            heappush(queue, entry)
+                            return StepInfo(index, pc, executed=False,
+                                            stopped=True)
+                else:
+                    bound = horizon if horizon < deadline else deadline
+                while True:
+                    before = cpu.cycles
+                    if has_work(cpu):
+                        budget = horizon - before
+                        if budget >= min_block:
+                            cpu.step_block(budget)
+                        else:
+                            cpu.step()
+                        idle_streak = 0
+                    elif on_idle(cpu):
+                        idle_streak = 0
+                    else:
+                        idle_streak += 1
+                        if idle_streak > idle_limit:
+                            runtime.check_deadlock()
+                    now = cpu.cycles
+                    # Zero progress re-arbitrates: the re-pushed entry
+                    # loses any clock tie, as a one-step loop's would.
+                    if (now >= bound or now == before or cpu.halted
+                            or runtime.done):
+                        break
+                if not cpu.halted:
+                    heappush(queue, (now, seq, index))
+                    seq += 1
+                if one_step:
+                    return StepInfo(index, pc, executed=pc is not None,
+                                    stopped=False)
+        except DeadlockError as exc:
+            # The idle-streak deadlock abort fires long before the
+            # watchdog's periodic window; with a watchdog attached it
+            # becomes the same typed post-mortem result.
+            if watchdog is None:
+                raise
+            machine.time = max(machine.time,
+                               max(cpu.cycles for cpu in cpus))
+            raise watchdog.on_deadlock(machine.time, exc) from exc
+        finally:
+            self._idle_streak = idle_streak
+            self._seq = seq
+        return None
 
 
 def run_program(program, config=None, entry="main", args=(),

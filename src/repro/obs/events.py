@@ -125,11 +125,11 @@ class EventBus:
             futures, memory transactions — never per-instruction
             observations).  All :class:`EventKind` emission sites *are*
             coarse-grained and superblock fusion does not change their
-            cycle stamps, so the machine keeps its fast loops when the
+            cycle stamps, so the machine keeps its fast step when the
             only attached bus is a coarse one (the flight recorder's);
             the default ``False`` preserves the conservative contract
             that any attached bus pins the per-instruction reference
-            loop.
+            step.
     """
 
     def __init__(self, capacity=1_000_000, coarse=False):

@@ -7,7 +7,7 @@ every run:
   event kinds (traps, context switches, scheduling, futures, network
   deliveries, memory-transaction completions — never per-instruction),
   subscribed through an :class:`~repro.obs.events.EventBus` marked
-  ``coarse=True`` so the PR 5 superblock fast loops stay eligible:
+  ``coarse=True`` so the fast step (superblocks, JIT) stays eligible:
   every one of those emission sites fires outside fused superblocks and
   with identical cycle stamps on the fast and reference paths (the
   lockstep harness pins this).
@@ -182,7 +182,7 @@ class Watchdog:
     post-mortem instead of letting a hung run burn ``--max-cycles``.
 
     Args:
-        interval: cycles between checks (every machine loop polls
+        interval: cycles between checks (the machine scheduler polls
             ``next_check_at``).
         strikes: consecutive spin-storm windows before declaring
             livelock (one window proves nothing: startup and steal

@@ -4,7 +4,7 @@ Every scenario runs three times from one compile — the superblock
 JIT (``fastpath=True, jit=True``: generated code objects), the closure
 tier (``fastpath=True, jit=False``: predecoded dispatch and superblock
 fusion), and the reference (``fastpath=False``: the original decode +
-if-chain interpreter on the per-instruction heapq loop) — and all runs
+if-chain interpreter, one instruction per step) — and all runs
 must agree on everything a program or an observer could see: the
 result value, the final machine clock, every per-CPU cycle-category
 counter (byte-identical ``snapshot()`` dicts), the architectural
@@ -70,7 +70,7 @@ def _assert_triple(jit, closure, reference, expect_jit_runs=True):
 def _assert_lockstep(fast, reference):
     fast_machine, fast_result = fast
     ref_machine, ref_result = reference
-    assert fast_machine.loop_used in ("fast-sequential", "fast-sliced")
+    assert fast_machine.loop_used == "fast"
     assert ref_machine.loop_used == "reference"
     assert fast_result.value == ref_result.value
     assert fast_result.cycles == ref_result.cycles
@@ -145,7 +145,7 @@ class TestBenchmarkLockstep:
         compiled = compile_source(module.source(), mode="sequential")
         machine = _build(compiled, MachineConfig(num_processors=1), True)
         machine.run(entry=compiled.entry_label("main"), args=(10,))
-        assert machine.loop_used == "fast-sequential"
+        assert machine.loop_used == "fast"
         assert machine.cpus[0].superblocks > 0
 
 
@@ -180,7 +180,7 @@ class TestRandomizedLockstep:
 def _dormant_baseline(compiled, config, args):
     machine = _build(compiled, config, True)
     result = machine.run(entry=compiled.entry_label("main"), args=args)
-    assert machine.loop_used in ("fast-sequential", "fast-sliced")
+    assert machine.loop_used == "fast"
     return machine, result
 
 
@@ -303,7 +303,7 @@ class TestJitFallbackMatrix:
 
         machine = _build(compiled, config, True, jit=False)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
-        assert machine.loop_used in ("fast-sequential", "fast-sliced")
+        assert machine.loop_used == "fast"
         assert all(not cpu.jit_runs for cpu in machine.cpus)
         assert result.value == dormant.value
         assert result.cycles == dormant.cycles

@@ -51,8 +51,24 @@ slot:
 """
 
 
-def _deadlocked_machine(interval=1024):
-    machine, compiled = build_mult_machine(DEADLOCK, processors=2)
+#: The three ways to drive a machine: ``run()`` on the fast step,
+#: ``run()`` on the reference step, and the monitor's stepper.
+DRIVERS = ("fast", "reference", "stepper")
+
+
+def drive(machine, driver, **run_kwargs):
+    """Run ``machine`` to completion the way ``driver`` names."""
+    if driver != "stepper":
+        return machine.run(**run_kwargs)
+    stepper = machine.stepper(**run_kwargs)
+    while stepper.step_machine() is not None:
+        pass
+    return stepper.result()
+
+
+def _deadlocked_machine(interval=1024, fastpath=True):
+    machine, compiled = build_mult_machine(DEADLOCK, processors=2,
+                                           fastpath=fastpath)
     watchdog = Watchdog(interval=interval).attach(machine)
     return machine, compiled, watchdog
 
@@ -105,6 +121,20 @@ class TestDeadlockDetection:
         assert "== HANG DETECTED: deadlock" in texts[0]
         assert "wait-for cycle:" in texts[0]
 
+    def test_stepper_matches_run(self):
+        """The monitor's stepper polls the watchdog like run() does:
+        the same typed hang, at the same cycle, with the same text."""
+        outcomes = []
+        for driver in DRIVERS:
+            machine, compiled, _ = _deadlocked_machine(
+                fastpath=driver != "reference")
+            with pytest.raises(HangDetected) as info:
+                drive(machine, driver, entry=compiled.entry_label("main"))
+            outcomes.append((info.value.kind, info.value.cycle,
+                             info.value.render()))
+        assert outcomes[0][:2] == ("deadlock", 2753)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
     def test_run_mult_watchdog_parameter(self):
         with pytest.raises(HangDetected):
             run_mult(DEADLOCK, processors=2, watchdog=Watchdog())
@@ -112,17 +142,23 @@ class TestDeadlockDetection:
 
 class TestLivelockDetection:
     def test_spin_storm_raises_livelock(self):
+        """Every driver polls the watchdog at the same clocks, so each
+        one names the storm at the same cycle."""
         source = stubs.thread_start_stub() + SYNC_ASM + STORM
-        config = MachineConfig(num_processors=1)
-        machine = AlewifeMachine(assemble(source), config)
-        machine.memory.set_full(machine.program.address_of("slot"), False)
-        Watchdog(interval=1024).attach(machine)
-        with pytest.raises(HangDetected) as info:
-            machine.run(max_cycles=50_000_000)
-        exc = info.value
-        assert exc.kind == "livelock"
-        assert exc.cycle < 50_000
-        assert "spin" in exc.reason
+        for processors, cycle in ((1, 4329), (2, 4160)):
+            for driver in DRIVERS:
+                config = MachineConfig(num_processors=processors)
+                machine = AlewifeMachine(assemble(source), config,
+                                         fastpath=driver != "reference")
+                machine.memory.set_full(
+                    machine.program.address_of("slot"), False)
+                Watchdog(interval=1024).attach(machine)
+                with pytest.raises(HangDetected) as info:
+                    drive(machine, driver, max_cycles=50_000_000)
+                exc = info.value
+                assert exc.kind == "livelock"
+                assert exc.cycle == cycle, (processors, driver)
+                assert "spin" in exc.reason
 
     def test_legitimate_run_never_trips(self):
         """fib spawns, spins briefly on steals, and resolves futures —
@@ -140,7 +176,7 @@ class TestFastPathEligibility:
         machine, compiled, _ = _deadlocked_machine()
         with pytest.raises(HangDetected):
             machine.run(entry=compiled.entry_label("main"))
-        assert machine.loop_used == "fast-sliced"
+        assert machine.loop_used == "fast"
 
     def test_detach_restores_dormancy(self):
         machine, compiled = build_mult_machine(FIB, processors=1)
@@ -152,7 +188,7 @@ class TestFastPathEligibility:
         assert machine.watchdog is None
         result = machine.run(entry=compiled.entry_label("main"), args=(10,))
         assert result.value == 55
-        assert machine.loop_used == "fast-sequential"
+        assert machine.loop_used == "fast"
 
     def test_existing_observation_bus_is_reused(self):
         """When an Observation already owns the event bus, the recorder

@@ -3,10 +3,14 @@ watchpoints, pokes, and byte-stable scripted transcripts."""
 
 import io
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.lang.run import build_mult_machine
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
 from repro.obs.monitor import Monitor
+from tests.obs.test_flight import DRIVERS, drive
 
 FIB = """
 (define (fib n)
@@ -26,21 +30,35 @@ def make_monitor(source=FIB, processors=1, args=(6,), **kwargs):
 class TestStepperEquivalence:
     def test_stepper_matches_batch_run(self):
         """Driving the machine to completion one step at a time must
-        give the same result and cycle count as machine.run() — the
-        stepper is the same schedule, just resumable."""
-        machine, compiled = build_mult_machine(FIB, processors=2)
-        batch = machine.run(entry=compiled.entry_label("main"), args=(9,))
+        give the same result and cycle count as machine.run() on either
+        step — the stepper is the same schedule, just resumable — and
+        a cycle limit must stop every driver at the same clocks."""
+        compiled = build_mult_machine(FIB, processors=1)[1]
+        entry = compiled.entry_label("main")
+        limited = {1: (5010, [5010]), 2: (5016, [5016, 5023])}
 
-        stepped_machine = AlewifeMachine(compiled.program,
-                                         MachineConfig(num_processors=2))
-        stepper = stepped_machine.stepper(
-            entry=compiled.entry_label("main"), args=(9,))
-        while stepper.step_machine() is not None:
-            pass
-        result = stepper.result()
-        assert result.value == batch.value == 34
-        assert result.cycles == batch.cycles
-        assert stepped_machine.loop_used == "stepper"
+        def build(processors, driver):
+            return AlewifeMachine(compiled.program,
+                                  MachineConfig(num_processors=processors),
+                                  fastpath=driver != "reference")
+
+        for processors in (1, 2):
+            runs = []
+            for driver in DRIVERS:
+                machine = build(processors, driver)
+                result = drive(machine, driver, entry=entry, args=(9,))
+                assert machine.loop_used == driver
+                runs.append((result.value, result.cycles))
+            assert runs[0][0] == 34
+            assert runs[0] == runs[1] == runs[2]
+
+            for driver in DRIVERS:
+                machine = build(processors, driver)
+                with pytest.raises(SimulationError, match="cycle limit"):
+                    drive(machine, driver, entry=entry, args=(12,),
+                          max_cycles=5000)
+                clocks = [cpu.cycles for cpu in machine.cpus]
+                assert (machine.time, clocks) == limited[processors], driver
 
 
 class TestMonitorCommands:

@@ -1,10 +1,11 @@
-"""JIT A/B smoke: the generated-code tier vs. the fuse-closure tier.
+"""JIT A/B smoke: the generated-code tier vs. the closure tier.
 
 CI's ``jit-smoke`` job runs this after the lockstep exactness tests.
 Both legs run the same program and must report the *same simulated
 cycle count* (the JIT is exact); only the host wall clock differs.
-``jit=False`` keeps the translation-cache fast path, so the measured
-ratio isolates what the generated code objects alone are worth.
+``jit=False`` keeps the translation-cache fast path (one predecoded
+closure per ``step()``), so the measured ratio isolates what the
+generated code objects alone are worth.
 
 Methodology: the process-wide shared block cache is warmed with one
 throwaway run, then each leg takes the best of three timings.  Block

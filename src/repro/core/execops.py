@@ -27,23 +27,14 @@ same cycle categories in the same order — which the differential
 lockstep harness (``tests/core/test_lockstep.py``) enforces
 instruction-for-instruction.
 
-Entries for instructions that can neither trap, branch, touch memory,
-nor move the frame pointer (raw logic, ``LUI``/``ORIL``, ``NOP``) also
-carry a ``fuse(cpu, frame)`` closure: the register/PSR effect alone,
-with no cycle charge and no PC-chain math.  The superblock executor
-(:meth:`repro.core.processor.Processor.step_block`) strings those
-together and batches the whole block's accounting into single integer
-adds.
-
-This closure tier is the middle rung of a three-tier ladder.  Cold
-code runs through :meth:`~repro.core.processor.Processor.step`
-dispatching one ``run`` closure per instruction; block-start pcs warm
-through the fused-closure superblocks above; and hot blocks are
-compiled by :mod:`repro.core.jit` into single generated Python
-functions (operands baked as constants, registers flattened to locals,
-accounting batched) with these same ``run`` closures as the delegation
-target for whatever the generated code does not inline.  Every rung is
-held to the same lockstep contract against the reference if-chain.
+These closures are the fast path's cold tier.  Cold code runs through
+:meth:`~repro.core.processor.Processor.step` dispatching one ``run``
+closure per instruction; hot blocks are compiled by
+:mod:`repro.core.jit` into single generated Python functions (operands
+baked as constants, registers flattened to locals, accounting batched)
+with these same ``run`` closures as the delegation target for whatever
+the generated code does not inline.  Both tiers are held to the same
+lockstep contract against the reference if-chain.
 
 Cycle accounting contract: handlers charge "useful" cycles inline
 (``cpu.cycles``/``stats.useful``/``stats._total``) but still honor the
@@ -79,19 +70,16 @@ class ExecEntry:
         run: ``run(cpu, frame, pc, npc) -> (next_pc, next_npc)``; full
             semantics including cycle charges; raises
             :class:`TrapSignal` exactly like the reference interpreter.
-        fuse: ``fuse(cpu, frame)`` register/PSR effect only, or ``None``
-            when the instruction is not superblock-fusible.
     """
 
-    __slots__ = ("instr", "run", "fuse")
+    __slots__ = ("instr", "run")
 
-    def __init__(self, instr, run, fuse=None):
+    def __init__(self, instr, run):
         self.instr = instr
         self.run = run
-        self.fuse = fuse
 
     def __repr__(self):
-        return "ExecEntry(%r, fusible=%s)" % (self.instr, self.fuse is not None)
+        return "ExecEntry(%r)" % (self.instr,)
 
 
 # -- ALU cores: (a, b) -> (result, cc_bits) ------------------------------------
@@ -199,36 +187,12 @@ def _factory_lui(instr):
     value = (instr.imm << 14) & WORD_MASK
     rdf, gd = _reg_plan(rd)
 
-    def fuse(cpu, frame):
+    def run(cpu, frame, pc, npc):
         if rd:
             if rdf:
                 frame.regs[rd] = value
             else:
                 cpu.globals[gd] = value
-
-    return ExecEntry(instr, _charged_straightline(fuse), fuse)
-
-
-def _factory_oril(instr):
-    rd = instr.rd
-    imm = instr.imm
-    rdf, gd = _reg_plan(rd)
-
-    def fuse(cpu, frame):
-        if rd:
-            if rdf:
-                frame.regs[rd] |= imm
-            else:
-                cpu.globals[gd] = (cpu.globals[gd] | imm) & WORD_MASK
-
-    return ExecEntry(instr, _charged_straightline(fuse), fuse)
-
-
-def _charged_straightline(fuse):
-    """Wrap a fuse closure as a full run handler: effect + 1 useful cycle."""
-
-    def run(cpu, frame, pc, npc):
-        fuse(cpu, frame)
         cpu.cycles += 1
         stats = cpu.stats
         stats.useful += 1
@@ -238,7 +202,30 @@ def _charged_straightline(fuse):
             lifetime.on_charge(cpu, 1, "useful")
         return npc, npc + 4
 
-    return run
+    return ExecEntry(instr, run)
+
+
+def _factory_oril(instr):
+    rd = instr.rd
+    imm = instr.imm
+    rdf, gd = _reg_plan(rd)
+
+    def run(cpu, frame, pc, npc):
+        if rd:
+            if rdf:
+                frame.regs[rd] |= imm
+            else:
+                cpu.globals[gd] = (cpu.globals[gd] | imm) & WORD_MASK
+        cpu.cycles += 1
+        stats = cpu.stats
+        stats.useful += 1
+        stats._total += 1
+        lifetime = cpu.lifetime
+        if lifetime is not None:
+            lifetime.on_charge(cpu, 1, "useful")
+        return npc, npc + 4
+
+    return ExecEntry(instr, run)
 
 
 def _factory_alu(instr):
@@ -329,8 +316,8 @@ def _factory_alu(instr):
 
         return ExecEntry(instr, run)
 
-    # Raw logic: no strictness, no traps, no control flow — fusible.
-    def fuse(cpu, frame):
+    # Raw logic: no strictness, no traps, no control flow.
+    def run(cpu, frame, pc, npc):
         regs = frame.regs
         a = regs[rs1] if rs1f else cpu.globals[g1]
         b = imm_w if use_imm else (regs[rs2] if rs2f else cpu.globals[g2])
@@ -342,8 +329,16 @@ def _factory_alu(instr):
                 regs[rd] = result
             else:
                 cpu.globals[gd] = result
+        cpu.cycles += 1
+        stats = cpu.stats
+        stats.useful += 1
+        stats._total += 1
+        lifetime = cpu.lifetime
+        if lifetime is not None:
+            lifetime.on_charge(cpu, 1, "useful")
+        return npc, npc + 4
 
-    return ExecEntry(instr, _charged_straightline(fuse), fuse)
+    return ExecEntry(instr, run)
 
 
 # -- memory --------------------------------------------------------------------
@@ -582,10 +577,17 @@ def _factory_system(instr):
 
     if op is Opcode.NOP:
 
-        def fuse(cpu, frame):
-            return None
+        def run(cpu, frame, pc, npc):
+            cpu.cycles += 1
+            stats = cpu.stats
+            stats.useful += 1
+            stats._total += 1
+            lifetime = cpu.lifetime
+            if lifetime is not None:
+                lifetime.on_charge(cpu, 1, "useful")
+            return npc, npc + 4
 
-        return ExecEntry(instr, _charged_straightline(fuse), fuse)
+        return ExecEntry(instr, run)
 
     if op is Opcode.HALT:
 

@@ -1,9 +1,10 @@
 """Superblock JIT: translation-cache entries compiled to Python code.
 
-The third interpreter tier.  :mod:`repro.core.execops` predecodes each
-word into a bound closure (tier 2); this module goes one step further
-and compiles a whole superblock into a *single generated Python
-function* via ``compile()`` + ``exec``:
+The hot tier of the fast path.  :mod:`repro.core.execops` predecodes
+each word into a bound closure (the cold tier that
+:meth:`~repro.core.processor.Processor.step` dispatches); this module
+goes one step further and compiles a whole superblock into a *single
+generated Python function* via ``compile()`` + ``exec``:
 
 * operand fields, masks, immediates, and memory-flavor semantics are
   baked into the source as integer literals;
@@ -612,8 +613,7 @@ def _scan_block(cpu, pc, spec):
     :data:`SHARED_BLOCKS` hit (the common case on every machine after
     the first) pays only this cheap classification walk, not the
     string building.  Scanning uses side-effect-free instruction
-    fetches (the perfect I-cache), exactly like the closure tier's
-    ``_build_block``.
+    fetches (the perfect I-cache), so it never stalls or charges.
 
     Plan items:
         ``("s", instr, pc)`` — inlined straight-line op;

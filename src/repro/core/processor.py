@@ -50,9 +50,6 @@ from repro.obs.events import EventKind
 #: Cycle-cost categories tracked by :attr:`Processor.stats`.
 CATEGORIES = ("useful", "stall", "trap", "switch", "spin", "idle")
 
-#: Longest straight-line run fused into one superblock.
-MAX_SUPERBLOCK = 32
-
 #: Superblock visits at one pc before the JIT tier compiles it.
 #: Low on purpose: compiled blocks are shared process-wide (see
 #: :data:`repro.core.jit.SHARED_BLOCKS`), so compilation is cheap on
@@ -74,7 +71,7 @@ class ProcessorStats:
     incrementally, so :attr:`total_cycles` is an attribute read instead
     of a 6-way ``getattr`` sum; everything that bumps a category (the
     ``_add_*`` table, the fast-path handlers in
-    :mod:`repro.core.execops`, the superblock executor) bumps ``_total``
+    :mod:`repro.core.execops`, the JIT's generated code) bumps ``_total``
     by the same amount.  The invariant is asserted in the test suite.
     """
 
@@ -178,12 +175,6 @@ class Processor:
         self.stats = ProcessorStats()
         self.halted = False
         self.ipi_queue = deque()
-        #: Superblock cache: block-start pc -> list of fuse closures, or
-        #: ``False`` for "no fusible run here".  Invalidated through
-        #: :meth:`invalidate_code` when an attached
-        #: :class:`~repro.mem.memory.CodeWatch` sees a store into the
-        #: block's pc range.
-        self._blocks = {}
         #: pc -> :class:`ExecEntry` translation cache, bounded LRU;
         #: lets :meth:`step` skip the fetch + word-keyed predecode pair
         #: on every revisited pc.  ``_entry_map`` aliases its backing
@@ -206,14 +197,11 @@ class Processor:
         #: registers its translated pc ranges with (self-modifying-code
         #: invalidation); see :meth:`attach_code_watch`.
         self._code_watch = None
-        #: Count of fused superblocks executed (diagnostics/tests only;
-        #: deliberately not part of ``stats.snapshot()``).
-        self.superblocks = 0
-        #: JIT tier diagnostics (same non-snapshot contract).
+        #: JIT tier diagnostics (diagnostics/tests only; deliberately
+        #: not part of ``stats.snapshot()``).
         self.jit_compiles = 0
         self.jit_runs = 0
         self.jit_deopts = 0
-        self.block_invalidations = 0
         #: Pipeline-squash cost per trap (4 on custom APRIL silicon).
         self.trap_squash_cycles = TRAP_SQUASH_CYCLES
         #: Optional per-instruction callback(cpu, pc, instr) for tracing.
@@ -395,18 +383,16 @@ class Processor:
     # -- superblock executor (fast path only) --------------------------------
 
     def step_block(self, budget):
-        """Execute one superblock — JIT, fused closures — or :meth:`step`.
+        """Execute one JIT-compiled superblock, or fall back to :meth:`step`.
 
         The tier ladder at a block-start pc: cold pcs run through the
-        closure tier (or plain :meth:`step`) while a visit counter
-        warms; at :attr:`jit_threshold` the pc is compiled by
-        :mod:`repro.core.jit` into one generated Python function that
-        executes the whole straight-line run *and* its terminating
-        branch/memory instruction with batched accounting.  The closure
-        tier (a cached list of ``fuse`` closures — raw logic,
-        ``LUI``/``ORIL``, ``NOP`` only) remains the warm-up path and
-        the fallback when the compiled block does not fit the slice
-        budget.
+        closure tier (:meth:`step`) while a visit counter warms; at
+        :attr:`jit_threshold` the pc is compiled by :mod:`repro.core.jit`
+        into one generated Python function that executes the whole
+        straight-line run *and* its terminating branch/memory
+        instruction with batched accounting.  An uncompilable pc, a
+        compiled block that does not fit the slice budget, or
+        ``jit_enabled = False`` takes one :meth:`step` instead.
 
         ``budget`` bounds the block cost in cycles so the caller's
         event-loop slice is never overshot (every block instruction
@@ -420,7 +406,8 @@ class Processor:
         """
         if self.halted:
             return 0
-        if (self.trace_hook is not None or self.profile_hook is not None
+        if (not self.jit_enabled or self.trace_hook is not None
+                or self.profile_hook is not None
                 or self.lifetime is not None):
             return self.step()
         frame = self.frames[self.fp]
@@ -432,76 +419,21 @@ class Processor:
             # block's straight-line npc math would be wrong.
             return self.step()
 
-        if self.jit_enabled:
-            jit_map = self._jit_map
-            jb = jit_map.get(pc)
-            if jb is not None:
-                jit_map.move_to_end(pc)
-                if jb is not False and jb.cost <= budget:
-                    return self._run_jit(jb, frame, budget)
-                # Uncompilable pc, or the compiled block overshoots the
-                # slice: fall through to the closure tier / step().
-            else:
-                heat = self._heat.get(pc, 0) + 1
-                if heat >= self.jit_threshold:
-                    self._heat.pop(pc, None)
-                    jb = self._compile_jit(pc)
-                    if jb is not None and jb.cost <= budget:
-                        return self._run_jit(jb, frame, budget)
-                else:
-                    self._heat[pc] = heat
-
-        block = self._blocks.get(pc)
-        if block is None:
-            block = self._build_block(pc)
-        if block is False:
-            return self.step()
-        n = len(block)
-        if n > budget:
-            return self.step()
-        for fuse in block:
-            fuse(self, frame)
-        self.cycles += n
-        stats = self.stats
-        stats.useful += n
-        stats._total += n
-        stats.instructions += n
-        self.superblocks += 1
-        next_pc = pc + 4 * n
-        frame.pc = next_pc
-        frame.npc = next_pc + 4
-        return n
-
-    def _build_block(self, pc):
-        """Scan forward from ``pc`` collecting fusible handlers.
-
-        Caches the result (or ``False`` when the run is too short to be
-        worth fusing) under the block-start pc.  Scanning uses
-        side-effect-free instruction fetches (perfect I-cache).
-        """
-        predecode = self.decoder.predecode
-        fetch = self.port.fetch
-        fuses = []
-        scan = pc
-        try:
-            while len(fuses) < MAX_SUPERBLOCK:
-                fuse = predecode(fetch(scan)).fuse
-                if fuse is None:
-                    break
-                fuses.append(fuse)
-                scan += 4
-        except Exception:
-            # Unfetchable/undecodable word ends the block; the slow
-            # path will turn it into the proper ILLEGAL trap if the
-            # program actually executes into it.
-            pass
-        block = fuses if len(fuses) >= 2 else False
-        self._blocks[pc] = block
-        if block is not False:
-            watch = self._code_watch
-            if watch is not None:
-                watch.cover(pc, pc + 4 * len(block))
-        return block
+        jit_map = self._jit_map
+        jb = jit_map.get(pc)
+        if jb is not None:
+            jit_map.move_to_end(pc)
+        else:
+            heat = self._heat.get(pc, 0) + 1
+            if heat < self.jit_threshold:
+                self._heat[pc] = heat
+                return self.step()
+            self._heat.pop(pc, None)
+            jb = self._compile_jit(pc)
+        if jb and jb.cost <= budget:
+            return self._run_jit(jb, frame, budget)
+        # Uncompilable pc, or the compiled block overshoots the slice.
+        return self.step()
 
     # -- JIT tier (see repro.core.jit) ----------------------------------------
 
@@ -554,9 +486,9 @@ class Processor:
         """Register with a :class:`~repro.mem.memory.CodeWatch`.
 
         The watch notifies :meth:`invalidate_code` on every store into
-        a word this CPU has translated, keeping all three cache tiers
-        (predecode entries, fused closure blocks, JIT blocks) correct
-        under self-modifying code.
+        a word this CPU has translated, keeping both translation caches
+        (predecode entries and JIT blocks) correct under self-modifying
+        code.
         """
         self._code_watch = watch
         watch.add_listener(self.invalidate_code)
@@ -564,9 +496,9 @@ class Processor:
     def invalidate_code(self, address):
         """Drop every cached translation covering ``address``.
 
-        ``False`` sentinels ("nothing to fuse/compile here") are kept:
-        they never execute stale instructions, only route the pc to a
-        lower tier, so correctness cannot depend on dropping them.
+        ``False`` JIT sentinels ("nothing to compile here") are kept:
+        they never execute stale instructions, only route the pc to
+        :meth:`step`, so correctness cannot depend on dropping them.
         """
         word = address & ~3
         self._entries.discard(word)
@@ -579,13 +511,6 @@ class Processor:
                 # stores refuse watched words; delegated stores end the
                 # block), so dropping the cache entry is sufficient.
                 jit.discard(key)
-        blocks = self._blocks
-        if blocks:
-            for key in [k for k, blk in blocks.items()
-                        if blk is not False
-                        and k <= word < k + 4 * len(blk)]:
-                del blocks[key]
-                self.block_invalidations += 1
 
     def translation_counters(self):
         """JSON-ready per-tier translation-cache counters.
@@ -608,11 +533,6 @@ class Processor:
             "node": self.node_id,
             "predecode": self._entries.counters(),
             "jit": jit,
-            "superblocks": {
-                "size": len(self._blocks),
-                "executed": self.superblocks,
-                "invalidations": self.block_invalidations,
-            },
         }
 
     def run(self, max_cycles=None, max_instructions=None):

@@ -6,8 +6,9 @@ the processor with the smallest local clock executes next, for as long
 as its clock stays strictly below every other, so inter-processor
 interleavings respect simulated time without a global lock-step sweep.
 :meth:`AlewifeMachine.run` drives it to completion with the fast step
-(superblocks and JIT blocks through ``step_block``) or the reference
-step (``step()``, which every observability hook sees); the monitor
+(JIT-compiled superblocks through ``step_block``, closure steps
+elsewhere) or the reference step (``step()``, which every
+observability hook sees); the monitor
 drives the same scheduler one step at a time.
 
 Two memory modes (matching the paper's methodology):
@@ -63,10 +64,11 @@ class AlewifeMachine:
     :class:`MachineConfig` knob, so experiment cache fingerprints are
     unaffected.
 
-    ``jit`` gates the third interpreter tier (:mod:`repro.core.jit`):
+    ``jit`` gates the fast path's hot tier (:mod:`repro.core.jit`):
     hot superblocks compiled to generated Python functions.  ``False``
-    (CLI ``--no-jit``) caps the fast path at the closure tier —
-    the A/B knob for pricing what the generated code is worth.  Same
+    (CLI ``--no-jit``) runs the fast path on the closure tier alone,
+    one ``step()`` per instruction — the A/B knob for pricing what
+    the generated code is worth.  Same
     contract as ``fastpath``: a constructor argument, not a config
     knob, and architecturally invisible (the lockstep harness pins all
     tiers cycle-identical).
@@ -139,9 +141,10 @@ class AlewifeMachine:
         would have seen.
 
         One refinement: an event bus marked ``coarse=True`` (the flight
-        recorder's) does not pin the reference step.  Every event kind
-        is emitted outside fused superblocks — traps, scheduling,
-        futures, network, memory transactions — and their cycle stamps
+        recorder's) does not pin the reference step.  No event kind is
+        emitted from an instruction the JIT inlines — they come from
+        traps, scheduling, futures, network, memory transactions — and
+        their cycle stamps
         are identical on the fast and reference paths (the lockstep
         harness proves the schedules equal), so a coarse-only consumer
         observes the same stream either way.  A default
@@ -197,8 +200,10 @@ class AlewifeMachine:
 #: Slice bound of a processor with no other live processor queued: it
 #: runs until a deadline, a halt, or the end of the program.
 _UNBOUNDED = 1 << 62
-#: Smallest budget the fast step hands to ``step_block``; a tighter
-#: slice cannot fit a superblock worth fusing, so it takes one step().
+#: Smallest budget the fast step hands to ``step_block``.  A JIT block
+#: costs one cycle per instruction and at least two; a tighter slice
+#: admits only the shortest blocks, whose generated-function call buys
+#: little over the step() calls it replaces, so it takes one step().
 _MIN_BLOCK = 4
 #: ``min_block`` of the reference step: never call ``step_block``.
 _NO_BLOCK = 1 << 63
@@ -238,8 +243,9 @@ class MachineStepper:
 
     :meth:`AlewifeMachine.run` drives one scheduler to completion with
     either step: the fast one hands ``step_block`` the cycles left
-    before the horizon (fused superblocks cost one cycle per
-    instruction, so no block overshoots it), the reference one calls
+    before the horizon (a JIT block runs only when its cost, one cycle
+    per instruction, fits that budget, so no block overshoots it), the
+    reference one calls
     ``step()``.  The monitor drives one-step slices through
     :meth:`step_machine`; the queue and the idle streak persist across
     calls, which is what makes a run resumable.

@@ -7,10 +7,10 @@ every run:
   event kinds (traps, context switches, scheduling, futures, network
   deliveries, memory-transaction completions — never per-instruction),
   subscribed through an :class:`~repro.obs.events.EventBus` marked
-  ``coarse=True`` so the fast step (superblocks, JIT) stays eligible:
-  every one of those emission sites fires outside fused superblocks and
-  with identical cycle stamps on the fast and reference paths (the
-  lockstep harness pins this).
+  ``coarse=True`` so the fast step (JIT blocks, closure steps) stays
+  eligible: none of those emission sites is an instruction the JIT
+  inlines, and each fires with identical cycle stamps on the fast and
+  reference paths (the lockstep harness pins this).
 
 * :class:`Watchdog` — every ``interval`` cycles it inspects the
   run-time system directly (no per-event cost): *deadlock* is every

@@ -28,10 +28,10 @@ def component_counters(machine):
         },
         "sync": (sync.counters() if sync is not None
                  else SyncAllocator.empty_counters()),
-        # Per-CPU translation-cache tiers (predecode entries, fused
-        # superblocks, JIT code cache): sizes, evictions,
-        # invalidations, compiles — the observability surface for the
-        # bounded caches and the self-modifying-code machinery.
+        # Per-CPU translation caches (predecode entries, JIT code
+        # cache): sizes, evictions, invalidations, compiles — the
+        # observability surface for the bounded caches and the
+        # self-modifying-code machinery.
         "translation": [cpu.translation_counters() for cpu in machine.cpus],
     }
     fabric = machine.fabric

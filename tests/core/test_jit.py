@@ -281,21 +281,12 @@ class TestSelfModifyingCode:
                 addr r1, 2, r1
         """
 
-    def test_patch_invalidates_compiled_block(self):
-        cpu, memory, program = build_jit_cpu(self._smc_source())
-        run_jit_to_halt(cpu)
-        assert cpu.read_reg(1) == 10
-        assert cpu.jit_runs > 0
-        stale_keys = set(SHARED_BLOCKS.data)
-
-        # Patch the loop body with the donor word (through the watched
-        # write path, as a store instruction would).
-        body = program.address_of("loop")
-        donor = program.address_of("donor")
-        memory.write_word(body, memory.read_word(donor))
-        assert cpu._jit.invalidations > 0
-
-        # Re-run from the top: the stale translation must not execute.
+    def _patch_and_rerun(self, cpu, memory, program):
+        """Patch the loop body with the donor word (through the watched
+        write path, as a store instruction would), then re-run from the
+        top: the stale translation must not execute."""
+        memory.write_word(program.address_of("loop"),
+                          memory.read_word(program.address_of("donor")))
         frame = cpu.frame
         frame.pc = program.base
         frame.npc = program.base + 4
@@ -303,12 +294,36 @@ class TestSelfModifyingCode:
         run_jit_to_halt(cpu)
         assert cpu.read_reg(1) == 20     # 10 iterations of +2
 
+    def test_patch_invalidates_compiled_block(self):
+        cpu, memory, program = build_jit_cpu(self._smc_source())
+        run_jit_to_halt(cpu)
+        assert cpu.read_reg(1) == 10
+        assert cpu.jit_runs > 0
+        stale_keys = set(SHARED_BLOCKS.data)
+
+        self._patch_and_rerun(cpu, memory, program)
+        assert cpu._jit.invalidations > 0
+        body = program.address_of("loop")
+
         # The recompiled block has different words, hence a new
         # shared-cache key; the stale entry can never be looked up
         # again (the key embeds the translated words).
         fresh = [key for key in SHARED_BLOCKS.data
                  if key not in stale_keys and key[0] == body]
         assert fresh
+
+    def test_patch_invalidates_predecode_entry_on_closure_tier(self):
+        # With the JIT off, step_block is plain step(): the predecoded
+        # closure is the only translation of the patched word, and it
+        # alone must be dropped.
+        cpu, memory, program = build_jit_cpu(self._smc_source())
+        cpu.jit_enabled = False
+        run_jit_to_halt(cpu)
+        assert cpu.read_reg(1) == 10
+        assert cpu.jit_runs == 0
+
+        self._patch_and_rerun(cpu, memory, program)
+        assert cpu._entries.invalidations > 0
 
     def test_store_instruction_invalidates(self):
         # The program patches its *own* loop body with a raw store,

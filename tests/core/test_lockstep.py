@@ -2,9 +2,9 @@
 
 Every scenario runs three times from one compile — the superblock
 JIT (``fastpath=True, jit=True``: generated code objects), the closure
-tier (``fastpath=True, jit=False``: predecoded dispatch and superblock
-fusion), and the reference (``fastpath=False``: the original decode +
-if-chain interpreter, one instruction per step) — and all runs
+tier (``fastpath=True, jit=False``: predecoded dispatch, one closure
+per instruction), and the reference (``fastpath=False``: the original
+decode + if-chain interpreter, one instruction per step) — and all runs
 must agree on everything a program or an observer could see: the
 result value, the final machine clock, every per-CPU cycle-category
 counter (byte-identical ``snapshot()`` dicts), the architectural
@@ -139,14 +139,14 @@ class TestBenchmarkLockstep:
         _assert_triple(*runs)
 
     def test_fast_sequential_actually_fuses(self):
-        """The fast run must exercise the superblock executor, or this
-        whole file proves nothing about it."""
+        """The fast run must fire the JIT (compiled superblocks through
+        ``step_block``), or this whole file proves nothing about it."""
         module = workloads.get("fib")
         compiled = compile_source(module.source(), mode="sequential")
         machine = _build(compiled, MachineConfig(num_processors=1), True)
         machine.run(entry=compiled.entry_label("main"), args=(10,))
         assert machine.loop_used == "fast"
-        assert machine.cpus[0].superblocks > 0
+        assert machine.cpus[0].jit_runs > 0
 
 
 _SETTINGS = settings(
@@ -233,7 +233,7 @@ class TestFallbackMatrix:
         self.ATTACHERS[hook](machine)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
         assert machine.loop_used == "reference"
-        assert machine.cpus[0].superblocks == 0
+        assert machine.cpus[0].jit_runs == 0
         assert result.value == dormant.value
         assert result.cycles == dormant.cycles
         for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):

@@ -62,3 +62,13 @@ class TestFallbackSections:
         report = machine_report(machine)
         assert "events" not in report
         assert "timeline" not in report
+
+    def test_translation_rows_have_predecode_and_jit_only(self):
+        compiled, machine = self._bare_machine()
+        machine.run(entry=compiled.entry_label("main"), args=(6,))
+        assert machine.loop_used == "fast"
+        rows = machine_report(machine)["components"]["translation"]
+        assert len(rows) == len(machine.cpus)
+        for row in rows:
+            assert set(row) == {"node", "predecode", "jit"}
+        assert sum(row["jit"]["runs"] for row in rows) > 0

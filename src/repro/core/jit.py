@@ -28,15 +28,15 @@ instructions and the per-call overhead eats the win):
   the access costs one batched cycle like any other instruction.  Any
   access the inline path cannot complete bit-identically — a future
   base address, a misaligned or out-of-bank address, a full/empty
-  mismatch (the flavors that trap), a store into a code-watched word,
-  or an attached ``watch_hook`` — falls to the instruction's
+  mismatch (the flavors that trap), or a store into a code-watched
+  word — falls to the instruction's
   :class:`~repro.core.execops.ExecEntry` closure with the PC chain
   parked at the instruction, and the block *ends there*: the closure
   redoes the access from scratch (the inline test mutated nothing), so
-  trap payloads, stall charging, watch notifications, and hook calls
-  stay exactly the closure tier's.  On a non-ideal port (the cache /
-  directory machine) every memory instruction is such a delegated
-  block terminator.  Because delegation always ends the block, a
+  trap payloads and stall charging stay exactly the closure tier's.
+  On a non-ideal port (the cache / directory machine) every memory
+  instruction is such a delegated block terminator.  Because
+  delegation always ends the block, a
   compiled block never runs on past a stall or a self-invalidating
   store — the multi-CPU slice interleaving stays reference-identical;
 * **branch delay slots** are fused into the exit: the delay
@@ -524,10 +524,12 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     The successful single-cycle access runs on the block's locals and
     memory arrays and joins the pending batch; every other case — the
     flavor's trap condition, a future base, a misaligned or
-    out-of-bank address, a store into a code-watched word, an attached
-    ``watch_hook`` — takes the slow branch, which delegates to the
-    closure and ends the block (the inline test mutated nothing, so
-    the closure redoes the access from scratch, bit-identically).
+    out-of-bank address, a store into a code-watched word — takes the
+    slow branch, which delegates to the closure and ends the block
+    (the inline test mutated nothing, so the closure redoes the access
+    from scratch, bit-identically).  No ``watch_hook`` test is needed:
+    a watch hook keeps the machine off ``step_block`` altogether
+    (:meth:`~repro.machine.alewife.AlewifeMachine._hooks_dormant`).
     """
     emitter.needs_mem = True
     op = instr.op
@@ -549,7 +551,6 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     if base:
         slow.append("_x < 0")
     slow.append("_x >= %d" % size_words)
-    slow.append("cpu.watch_hook is not None")
     if is_load:
         if flavor.trap_on_empty:
             slow.append("not _fe[_x]")

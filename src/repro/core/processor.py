@@ -204,10 +204,11 @@ class Processor:
         self.jit_deopts = 0
         #: Pipeline-squash cost per trap (4 on custom APRIL silicon).
         self.trap_squash_cycles = TRAP_SQUASH_CYCLES
-        #: Optional per-instruction callback(cpu, pc, instr) for tracing.
-        self.trace_hook = None
-        #: Optional per-instruction callback(cpu, pc, instr) for profiling.
-        self.profile_hook = None
+        #: Per-instruction callbacks ``hook(cpu, pc, instr)``, called
+        #: before each instruction executes.  Observers (the tracer,
+        #: the hot-path profiler) append and remove their own; a
+        #: non-empty list pins the machine to the reference step.
+        self.instr_hooks = []
         #: Optional per-trap callback(cpu, frame, trap) at trap entry.
         self.trap_hook = None
         #: Optional data-access callback(cpu, pc, address, is_load,
@@ -312,10 +313,9 @@ class Processor:
         else:
             entries.move_to_end(pc)
 
-        if self.trace_hook is not None:
-            self.trace_hook(self, pc, entry.instr)
-        if self.profile_hook is not None:
-            self.profile_hook(self, pc, entry.instr)
+        if self.instr_hooks:
+            for hook in self.instr_hooks:
+                hook(self, pc, entry.instr)
         try:
             next_pc, next_npc = entry.run(self, frame, pc, frame.npc)
         except TrapSignal as signal:
@@ -355,10 +355,9 @@ class Processor:
             self._take_trap(frame, Trap(TrapKind.ILLEGAL, pc=pc, cause=str(exc)))
             return self.cycles - start
 
-        if self.trace_hook is not None:
-            self.trace_hook(self, pc, instr)
-        if self.profile_hook is not None:
-            self.profile_hook(self, pc, instr)
+        if self.instr_hooks:
+            for hook in self.instr_hooks:
+                hook(self, pc, instr)
         npc = frame.npc
         try:
             next_pc, next_npc = self._execute(frame, instr, pc, npc)
@@ -395,20 +394,23 @@ class Processor:
         ``jit_enabled = False`` takes one :meth:`step` instead.
 
         ``budget`` bounds the block cost in cycles so the caller's
-        event-loop slice is never overshot (every block instruction
-        costs exactly one cycle; a delegated memory terminator may
-        stall past the horizon, but so would the same instruction under
-        :meth:`step` — the reference loop has the same property).
-        Falls back to :meth:`step` — same return convention, cycles
-        consumed — whenever no block applies or any per-instruction
-        hook is attached; only call this with machine-level
-        observability dormant.
+        slice bound — the next processor's clock or the next poll
+        deadline — is never overshot (every block instruction costs
+        exactly one cycle; a delegated memory terminator may stall past
+        the bound, but so would the same instruction under
+        :meth:`step`).  Returns cycles consumed, like :meth:`step`.
+
+        Precondition, checked once per run by
+        :meth:`~repro.machine.alewife.AlewifeMachine._hooks_dormant`:
+        no :attr:`instr_hooks`, no ``watch_hook`` and no ``lifetime``
+        accountant, since a block neither calls per-instruction
+        callbacks nor charges instruction by instruction.  Event buses
+        and transaction tracers may be attached: nothing a block
+        inlines emits an event or opens a transaction.
         """
         if self.halted:
             return 0
-        if (not self.jit_enabled or self.trace_hook is not None
-                or self.profile_hook is not None
-                or self.lifetime is not None):
+        if not self.jit_enabled:
             return self.step()
         frame = self.frames[self.fp]
         if self.ipi_queue and frame.psr.value & ET_BIT:

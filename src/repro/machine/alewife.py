@@ -7,9 +7,9 @@ as its clock stays strictly below every other, so inter-processor
 interleavings respect simulated time without a global lock-step sweep.
 :meth:`AlewifeMachine.run` drives it to completion with the fast step
 (JIT-compiled superblocks through ``step_block``, closure steps
-elsewhere) or the reference step (``step()``, which every
-observability hook sees); the monitor
-drives the same scheduler one step at a time.
+elsewhere) or the reference step (``step()``, which per-instruction
+observers need); the monitor drives the same scheduler one step at a
+time.
 
 Two memory modes (matching the paper's methodology):
 
@@ -55,11 +55,12 @@ class AlewifeMachine:
     varies.
 
     ``fastpath`` selects the interpreter generation.  ``True`` (the
-    default) uses predecoded dispatch plus — when every observability
-    hook is dormant — the fast step, which hands whole superblocks to
-    ``step_block``; ``False`` pins every processor to the original
-    decode + if-chain interpreter on the reference step, which is the
-    oracle side of the differential lockstep harness.  It is
+    default) uses predecoded dispatch plus — unless a per-instruction
+    observer is attached (:meth:`_hooks_dormant`) — the fast step,
+    which hands whole superblocks to ``step_block``; ``False`` pins
+    every processor to the original decode + if-chain interpreter on
+    the reference step, which is the oracle side of the differential
+    lockstep harness.  It is
     deliberately a constructor argument and *not* a
     :class:`MachineConfig` knob, so experiment cache fingerprints are
     unaffected.
@@ -89,8 +90,8 @@ class AlewifeMachine:
         #: Which step the scheduler took: "fast" or "reference" (set
         #: by :meth:`run`) or "stepper" (set by :meth:`stepper`); tests.
         self.loop_used = None
-        #: Observability slots (see :mod:`repro.obs`): an attached
-        #: ``Observation`` wires these; ``None`` keeps the fast path.
+        #: Observability slots (see :mod:`repro.obs`), wired by an
+        #: attached ``Observation``; ``events`` through :meth:`set_bus`.
         self.sampler = None
         self.events = None
         #: Optional :class:`repro.obs.flight.Watchdog`; the scheduler
@@ -133,38 +134,60 @@ class AlewifeMachine:
     # -- execution ---------------------------------------------------------
 
     def _hooks_dormant(self):
-        """True when no observability hook anywhere can observe steps.
+        """True when the fast step may run; the one place that decides.
 
-        This is the dormant-hook contract: the fast step is only legal
-        when nothing samples, traces, profiles, or accounts per
-        instruction/charge, so batching cannot change what an observer
-        would have seen.
-
-        One refinement: an event bus marked ``coarse=True`` (the flight
-        recorder's) does not pin the reference step.  No event kind is
-        emitted from an instruction the JIT inlines — they come from
-        traps, scheduling, futures, network, memory transactions — and
-        their cycle stamps
-        are identical on the fast and reference paths (the lockstep
-        harness proves the schedules equal), so a coarse-only consumer
-        observes the same stream either way.  A default
-        (``coarse=False``) bus still forces the reference step, as
-        before.
+        Three observers watch single instructions or single charges and
+        so pin the reference step: a per-instruction hook
+        (``cpu.instr_hooks``: the tracer, the hot-path profiler), a
+        ``watch_hook`` (the monitor's watchpoints) and a ``lifetime``
+        accountant.  Nothing else does.  Event buses and transaction
+        tracers see only traps, scheduling, futures, network messages
+        and memory transactions, none of which a JIT block inlines, and
+        the lockstep harness pins their cycle stamps equal on both
+        steps.  The sampler and watchdog polls are deadlines in the
+        slice bound (see :class:`MachineStepper`), so they run at the
+        same clocks on either step.
         """
-        if self.sampler is not None:
-            return False
-        events = self.events
-        if events is not None and not events.coarse:
-            return False
         for cpu in self.cpus:
-            if (cpu.trace_hook is not None or cpu.profile_hook is not None
-                    or cpu.txn is not None or cpu.lifetime is not None
-                    or cpu.watch_hook is not None):
-                return False
-            events = cpu.events
-            if events is not None and not events.coarse:
+            if (cpu.instr_hooks or cpu.watch_hook is not None
+                    or cpu.lifetime is not None):
                 return False
         return True
+
+    def _traced_components(self):
+        """Every component carrying both an ``events`` and a ``txn`` slot."""
+        components = list(self.cpus)
+        fabric = self.fabric
+        if fabric is not None:
+            components.append(fabric.network)
+            components += (fabric.caches + fabric.controllers
+                           + fabric.directories)
+        return components
+
+    def set_bus(self, bus):
+        """Point every emitting component's ``events`` slot at ``bus``.
+
+        ``None`` detaches.  Raises :class:`ValueError` when a different
+        bus is already installed: replacing it would silently cut off
+        its subscribers, such as a flight recorder's rings.  Attach an
+        ``Observation`` before a ``Watchdog``; the watchdog's recorder
+        then subscribes to the observation's bus.
+        """
+        if bus is not None and self.events not in (None, bus):
+            raise ValueError(
+                "an event bus is already installed; attach the "
+                "Observation before the Watchdog or FlightRecorder, "
+                "which then subscribes to the Observation's bus")
+        self.events = bus
+        runtime = self.runtime
+        for component in ([runtime, runtime.scheduler, runtime.futures]
+                          + self._traced_components()):
+            component.events = bus
+
+    def set_txn(self, tracer):
+        """Point every ``txn`` slot at ``tracer``; ``None`` detaches."""
+        for component in self._traced_components():
+            component.txn = tracer
 
     def run(self, entry="main", args=(), max_cycles=200_000_000):
         """Run ``entry`` on the machine; returns a :class:`MachineResult`.
@@ -241,20 +264,23 @@ class MachineStepper:
     so slicing changes no interleaving.  Halted processors are dropped
     instead of re-pushed.
 
-    :meth:`AlewifeMachine.run` drives one scheduler to completion with
-    either step: the fast one hands ``step_block`` the cycles left
-    before the horizon (a JIT block runs only when its cost, one cycle
-    per instruction, fits that budget, so no block overshoots it), the
-    reference one calls
-    ``step()``.  The monitor drives one-step slices through
-    :meth:`step_machine`; the queue and the idle streak persist across
-    calls, which is what makes a run resumable.
-
     The cycle limit and the sampler and watchdog polls run at pops, at
     the machine time the popped clock sets.  Their next due clock is a
-    deadline that ends a slice after the step that reaches it — it
-    never shrinks the step budget — and the following pop runs the
-    poll at exactly the clock a one-step loop would have.
+    deadline, and a slice's bound is the earlier of the queue head (the
+    horizon) and that deadline: the slice ends after the step that
+    reaches the bound, and the following pop runs the poll at exactly
+    the clock a one-step loop would have.
+
+    :meth:`AlewifeMachine.run` drives one scheduler to completion with
+    either step: the fast one hands ``step_block`` the cycles left
+    before the bound, the reference one calls ``step()``.  A JIT block
+    runs only when its cost, one cycle per instruction, fits that
+    budget, so no block steps over the bound, and every clock a block
+    passes through is one the reference step would also pass through:
+    both steps reach the horizon and each deadline at the same clock.
+    The monitor drives one-step slices through :meth:`step_machine`;
+    the queue and the idle streak persist across calls, which is what
+    makes a run resumable.
     """
 
     def __init__(self, machine, entry="main", args=(),
@@ -388,7 +414,7 @@ class MachineStepper:
                 while True:
                     before = cpu.cycles
                     if has_work(cpu):
-                        budget = horizon - before
+                        budget = bound - before
                         if budget >= min_block:
                             cpu.step_block(budget)
                         else:

@@ -7,7 +7,7 @@ assembler and the Mul-T compiler both produce one).  Trap entries are
 captured too (with the trap kind), so switch-handler and run-time
 activity is visible between the retired instructions.  Used for
 debugging run-time/compiler interactions and by the examples; cheap
-enough to leave compiled in (one attribute test per instruction when
+enough to leave compiled in (one list test per instruction when
 disabled).
 """
 
@@ -57,14 +57,15 @@ class Tracer:
         self.traps_seen = 0
         self._source_map = machine.program.source_map
         for cpu in machine.cpus:
-            cpu.trace_hook = self._hook
+            cpu.instr_hooks.append(self._hook)
             if traps:
                 cpu.trap_hook = self._trap_hook
 
     def detach(self):
         """Stop tracing."""
         for cpu in self.machine.cpus:
-            cpu.trace_hook = None
+            if self._hook in cpu.instr_hooks:
+                cpu.instr_hooks.remove(self._hook)
             if cpu.trap_hook == self._trap_hook:
                 cpu.trap_hook = None
 

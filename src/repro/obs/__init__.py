@@ -1,9 +1,14 @@
 """Observability: the telemetry spine of the simulator.
 
-The simulator's components carry *dormant* instrumentation hooks — a
-single ``events is not None`` test on each hot path — that wake up when
-an :class:`Observation` is attached to a machine.  Three consumers are
-built in:
+The simulator's components carry *dormant* instrumentation slots — a
+single ``events is not None`` test at each emission site — that wake up
+when an :class:`Observation` is attached to a machine.  One rule,
+``AlewifeMachine._hooks_dormant``, decides what that costs: observers of
+single instructions or single charges (the tracer and profiler's
+``instr_hooks``, the monitor's ``watch_hook``, the lifetime accountant)
+move the run onto the reference step; events, the sampler, transaction
+traces and the flight recorder are recorded on the fast step, with the
+same cycle stamps.  The consumers:
 
 * the :class:`~repro.obs.events.EventBus` — a bounded ring of typed,
   structured events (context switches, traps, remote misses, directory
@@ -24,10 +29,11 @@ built in:
   analyzer (``april explain``: *why* is speedup sublinear);
 * the :class:`~repro.obs.flight.FlightRecorder` and
   :class:`~repro.obs.flight.Watchdog` — an always-on bounded ring of
-  coarse events per node plus a hang detector (deadlock + trap-storm
-  livelock) that stops the run with a post-mortem: wait-for graph over
-  future cells, last events, registers, and disassembly at each
-  blocked pc (``april run prog.mult --watchdog``);
+  thread, trap and network events per node plus a hang detector
+  (deadlock + trap-storm livelock) that stops the run with a
+  post-mortem: wait-for graph over future cells, last events,
+  registers, and disassembly at each blocked pc (``april run
+  prog.mult --watchdog``);
 * the :class:`~repro.obs.monitor.Monitor` — the interactive machine
   debugger behind ``april monitor``: breakpoints, full/empty
   watchpoints, stepping, and state poking over a resumable stepper.

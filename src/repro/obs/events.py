@@ -2,9 +2,9 @@
 
 Components never construct events when nobody listens: every
 instrumentation site is guarded by a single ``events is not None``
-attribute test (the component's ``events`` slot is ``None`` until an
-:class:`~repro.obs.session.Observation` wires a bus in), so the
-disabled path costs one pointer comparison.
+attribute test (the component's ``events`` slot is ``None`` until the
+machine's ``set_bus`` wires a bus in), so the disabled path costs one
+pointer comparison.
 
 Events are *typed* (:class:`EventKind`) and *structured* (a payload
 dict of plain ints/strings), timestamped in simulated cycles and tagged
@@ -117,24 +117,19 @@ class Subscription:
 class EventBus:
     """Bounded ring of :class:`Event` records plus live subscribers.
 
+    Every :class:`EventKind` is emitted from a trap, the scheduler,
+    the future machinery, the network or a memory transaction, never
+    from an instruction a JIT block inlines, so an attached bus keeps
+    the machine on its fast step and records the same stream, with the
+    same cycle stamps, as the reference step would.
+
     Args:
         capacity: ring size; oldest records are dropped past it.
             ``None`` keeps everything (tests, short runs).
-        coarse: declares that every consumer of this bus only needs the
-            coarse event grain (traps, context switches, scheduling,
-            futures, memory transactions — never per-instruction
-            observations).  All :class:`EventKind` emission sites *are*
-            coarse-grained and superblock fusion does not change their
-            cycle stamps, so the machine keeps its fast step when the
-            only attached bus is a coarse one (the flight recorder's);
-            the default ``False`` preserves the conservative contract
-            that any attached bus pins the per-instruction reference
-            step.
     """
 
-    def __init__(self, capacity=1_000_000, coarse=False):
+    def __init__(self, capacity=1_000_000):
         self.records = deque(maxlen=capacity)
-        self.coarse = coarse
         self.emitted = 0
         self._dropped = 0
         self._counts = {}

@@ -3,14 +3,14 @@
 Two coupled consumers designed to be cheap enough to leave attached on
 every run:
 
-* :class:`FlightRecorder` — a bounded per-node ring of the *coarse*
+* :class:`FlightRecorder` — a bounded per-node ring of the coarse
   event kinds (traps, context switches, scheduling, futures, network
   deliveries, memory-transaction completions — never per-instruction),
-  subscribed through an :class:`~repro.obs.events.EventBus` marked
-  ``coarse=True`` so the fast step (JIT blocks, closure steps) stays
-  eligible: none of those emission sites is an instruction the JIT
-  inlines, and each fires with identical cycle stamps on the fast and
-  reference paths (the lockstep harness pins this).
+  subscribed through the machine's :class:`~repro.obs.events.EventBus`.
+  Like any bus it keeps the fast step (JIT blocks, closure steps): no
+  emission site is an instruction the JIT inlines, and each fires with
+  identical cycle stamps on the fast and reference steps (the lockstep
+  harness pins this).
 
 * :class:`Watchdog` — every ``interval`` cycles it inspects the
   run-time system directly (no per-event cost): *deadlock* is every
@@ -39,9 +39,9 @@ from repro.isa.disassembler import disassemble_around
 from repro.obs.events import EventBus, EventKind
 from repro.runtime.thread import ThreadState
 
-#: The event kinds the flight recorder keeps (everything the simulator
-#: emits is coarse-grained; listed explicitly so a future fine-grained
-#: kind cannot silently join the rings).
+#: The event kinds the flight recorder keeps: the thread, trap and
+#: network story of a hang, without the cache and directory traffic.
+#: Listed explicitly so a new kind cannot silently join the rings.
 COARSE_KINDS = (
     EventKind.TRAP_ENTER,
     EventKind.TRAP_EXIT,
@@ -92,11 +92,11 @@ class FlightRecorder:
 
     If the machine already has an event bus (a full
     :class:`~repro.obs.session.Observation` is attached), the recorder
-    simply subscribes to it; otherwise it installs its own
-    ``coarse=True`` bus on every emitting component, which — by the
-    dormant-hook contract extension in
-    :meth:`AlewifeMachine._hooks_dormant` — keeps the superblock fast
-    loops eligible.
+    simply subscribes to it; otherwise it installs its own bus through
+    ``machine.set_bus``.  Either way the recorder itself never moves
+    the machine off its fast step.  An Observation attached after the
+    recorder installed its own bus is refused with :class:`ValueError`,
+    so attach the Observation first.
     """
 
     def __init__(self, per_node=64):
@@ -113,9 +113,8 @@ class FlightRecorder:
         self.machine = machine
         bus = machine.events
         if bus is None:
-            bus = EventBus(capacity=self.per_node * len(machine.cpus),
-                           coarse=True)
-            self._install_bus(machine, bus)
+            bus = EventBus(capacity=self.per_node * len(machine.cpus))
+            machine.set_bus(bus)
             self._installed = True
         for kind in COARSE_KINDS:
             self._subscriptions.append(bus.subscribe(self._record, kind))
@@ -128,26 +127,9 @@ class FlightRecorder:
         self._subscriptions = []
         machine = self.machine
         if machine is not None and self._installed:
-            self._install_bus(machine, None)
+            machine.set_bus(None)
             self._installed = False
         self.machine = None
-
-    @staticmethod
-    def _install_bus(machine, bus):
-        """Point every emitting component's ``events`` slot at ``bus``."""
-        machine.events = bus
-        runtime = machine.runtime
-        runtime.events = bus
-        runtime.scheduler.events = bus
-        runtime.futures.events = bus
-        for cpu in machine.cpus:
-            cpu.events = bus
-        fabric = machine.fabric
-        if fabric is not None:
-            fabric.network.events = bus
-            for component in (fabric.caches + fabric.controllers
-                              + fabric.directories):
-                component.events = bus
 
     def _record(self, event):
         ring = self.rings.get(event.node)

@@ -1,11 +1,11 @@
 """The hot-path profiler: where do the cycles actually go?
 
-Hooks every processor's per-instruction ``profile_hook`` (a dormant
-slot checked once per instruction, exactly like the tracer's) and
-charges, to each PC, the *full* cycle cost of the instruction fetched
-there — ALU cycle, memory stalls, and any trap/handler cycles it
-provoked — measured as the processor-clock delta to the next fetch on
-the same processor.  That attribution convention makes synchronization
+Appends a callback to every processor's per-instruction
+``instr_hooks`` list (tested once per instruction) and charges, to
+each PC, the *full* cycle cost of the instruction fetched there — ALU
+cycle, memory stalls, and any trap/handler cycles it provoked —
+measured as the processor-clock delta to the next fetch on the same
+processor.  That attribution convention makes synchronization
 costs land on the touching instruction, which is what you want when
 hunting the paper's future-touch and switch-spin overheads.
 
@@ -57,12 +57,13 @@ class HotPathProfiler:
         for cpu in machine.cpus:
             state = self._state[cpu.node_id] = [None, 0]
             hook = self._hooks[cpu.node_id] = self._make_hook(state)
-            cpu.profile_hook = hook
+            cpu.instr_hooks.append(hook)
 
     def detach(self, machine):
         for cpu in machine.cpus:
-            if cpu.profile_hook is self._hooks.get(cpu.node_id):
-                cpu.profile_hook = None
+            hook = self._hooks.get(cpu.node_id)
+            if hook in cpu.instr_hooks:
+                cpu.instr_hooks.remove(hook)
 
     def _make_hook(self, state):
         """Build one processor's hook closure.

@@ -1,11 +1,18 @@
 """The :class:`Observation` session: wire consumers into a machine.
 
 One object gathers the event bus, the interval sampler, the hot-path
-profiler, and the coherence-transaction tracer, and knows how to thread
-them through every instrumented component of an
-:class:`AlewifeMachine`.  Components whose ``events``/``txn`` slots stay
-``None`` keep their no-op fast path; attaching is what turns the
-dormant hooks on.
+profiler, the coherence-transaction tracer and the lifetime accountant,
+and installs them on an :class:`AlewifeMachine`: the bus and the tracer
+through the machine's ``set_bus``/``set_txn``, which know every
+component carrying an ``events`` or ``txn`` slot.  Slots left ``None``
+cost one test at each emission site.
+
+Only the profiler and the lifetime accountant move a run onto the
+reference step (see ``AlewifeMachine._hooks_dormant``); events, the
+sampler and transactions are recorded on the fast step with the same
+cycle stamps.  Attach an Observation before a ``Watchdog``: the
+watchdog's flight recorder then shares the Observation's bus, and the
+other order raises :class:`ValueError`.
 """
 
 import json
@@ -55,31 +62,20 @@ class Observation:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine):
-        """Install every enabled consumer on a machine (before ``run``)."""
+        """Install every enabled consumer on a machine (before ``run``).
+
+        Raises :class:`ValueError`, leaving the machine untouched, when
+        another event bus (a flight recorder's) is already installed.
+        """
+        bus = self.bus
+        if bus is not None:
+            machine.set_bus(bus)
         self.machine = machine
         if self.sampler is not None:
             self.sampler.attach(machine.cpus)
             machine.sampler = self.sampler
         if self.profiler is not None:
             self.profiler.attach(machine)
-        bus = self.bus
-        if bus is not None:
-            machine.events = bus
-            runtime = machine.runtime
-            runtime.events = bus
-            runtime.scheduler.events = bus
-            runtime.futures.events = bus
-            for cpu in machine.cpus:
-                cpu.events = bus
-            fabric = machine.fabric
-            if fabric is not None:
-                fabric.network.events = bus
-                for cache in fabric.caches:
-                    cache.events = bus
-                for controller in fabric.controllers:
-                    controller.events = bus
-                for directory in fabric.directories:
-                    directory.events = bus
         lifetime = self.lifetime
         if lifetime is not None:
             lifetime.subscribe(bus)
@@ -87,16 +83,8 @@ class Observation:
             machine.runtime.scheduler.lifetime = lifetime
             for cpu in machine.cpus:
                 cpu.lifetime = lifetime
-        tracer = self.txn
-        if tracer is not None:
-            for cpu in machine.cpus:
-                cpu.txn = tracer
-            fabric = machine.fabric
-            if fabric is not None:
-                fabric.network.txn = tracer
-                for component in (fabric.caches + fabric.controllers
-                                  + fabric.directories):
-                    component.txn = tracer
+        if self.txn is not None:
+            machine.set_txn(self.txn)
 
     def detach(self):
         """Remove every hook installed by :meth:`attach`."""
@@ -104,27 +92,17 @@ class Observation:
         if machine is None:
             return
         machine.sampler = None
-        machine.events = None
+        if self.bus is not None:
+            machine.set_bus(None)
+        if self.txn is not None:
+            machine.set_txn(None)
         runtime = machine.runtime
-        runtime.events = None
-        runtime.scheduler.events = None
-        runtime.futures.events = None
         runtime.lifetime = None
         runtime.scheduler.lifetime = None
         for cpu in machine.cpus:
-            cpu.events = None
-            cpu.txn = None
             cpu.lifetime = None
         if self.profiler is not None:
             self.profiler.detach(machine)
-        fabric = machine.fabric
-        if fabric is not None:
-            fabric.network.events = None
-            fabric.network.txn = None
-            for component in (fabric.caches + fabric.controllers
-                              + fabric.directories):
-                component.events = None
-                component.txn = None
 
     # -- exports -----------------------------------------------------------
 

@@ -10,10 +10,14 @@ result value, the final machine clock, every per-CPU cycle-category
 counter (byte-identical ``snapshot()`` dicts), the architectural
 register state, and printed output.
 
-The fallback matrix then checks the dormant-hook contract from the
-other side: attaching any single observability hook must push the
-machine onto the reference loop *without changing a single cycle*.
+The fallback matrix then checks the dormancy rule from the other side:
+attaching any single observer must leave every cycle unchanged, on the
+reference step for a per-instruction observer and on the fast step for
+the rest; the observed lockstep checks that a full observation records
+the same events, sampler windows and transactions on either step.
 """
+
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +26,8 @@ from repro import workloads
 from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
-from repro.obs import Observation
+from repro.machine.trace import Tracer
+from repro.obs import HotPathProfiler, Observation
 from repro.obs.events import EventBus
 from repro.obs.txn import TransactionTracer
 from tests.integration.test_differential import future_programs, programs
@@ -184,60 +189,107 @@ def _dormant_baseline(compiled, config, args):
     return machine, result
 
 
+# Each attacher installs one observer on a machine and returns a
+# zero-argument witness of what that observer saw.
+
 def _attach_trace(machine):
-    for cpu in machine.cpus:
-        cpu.trace_hook = lambda cpu, pc, instr: None
+    tracer = Tracer(machine)
+    return lambda: tracer.instructions_seen
 
 
 def _attach_profile(machine):
+    profiler = HotPathProfiler()
+    profiler.attach(machine)
+    return lambda: profiler.total_cycles
+
+
+def _attach_watch(machine):
+    calls = []
+
+    def hook(cpu, pc, address, is_load, outcome):
+        calls.append(pc)
+
     for cpu in machine.cpus:
-        cpu.profile_hook = lambda cpu, pc, instr: None
+        cpu.watch_hook = hook
+    return lambda: len(calls)
 
 
 def _attach_events(machine):
-    bus = EventBus()
+    bus = EventBus(capacity=None)
     for cpu in machine.cpus:
         cpu.events = bus
+    return lambda: [(e.cycle, e.node, e.kind) for e in bus]
 
 
 def _attach_txn(machine):
     tracer = TransactionTracer()
     for cpu in machine.cpus:
         cpu.txn = tracer
+    return tracer.to_json
 
 
 def _attach_machine_events(machine):
-    machine.events = EventBus()
+    bus = machine.events = EventBus(capacity=None)
+    return lambda: len(bus)
+
+
+#: Observers of single instructions or accesses: each pins the
+#: reference step (``AlewifeMachine._hooks_dormant``).
+PINNING_ATTACHERS = {
+    "trace_hook": _attach_trace,
+    "profile_hook": _attach_profile,
+    "watch_hook": _attach_watch,
+}
+#: Observers of traps, scheduling and transactions: each keeps the
+#: fast step, with the JIT firing.
+FAST_ATTACHERS = {
+    "cpu_events": _attach_events,
+    "cpu_txn": _attach_txn,
+    "machine_events": _attach_machine_events,
+}
+
+
+def _assert_step_for(machine, hook):
+    """The step the dormancy rule picks for ``hook``, and its JIT runs."""
+    if hook in PINNING_ATTACHERS:
+        assert machine.loop_used == "reference"
+        assert all(not cpu.jit_runs for cpu in machine.cpus)
+    else:
+        assert machine.loop_used == "fast"
+        assert any(cpu.jit_runs > 0 for cpu in machine.cpus)
 
 
 class TestFallbackMatrix:
-    """Each hook, attached alone, forces the reference loop — and the
-    reference loop must be cycle-identical to the dormant fast run."""
+    """Each observer, attached alone, must leave every cycle of the
+    dormant fast run unchanged.  Per-instruction observers force the
+    reference step; the rest keep the fast step."""
 
-    ATTACHERS = {
-        "trace_hook": _attach_trace,
-        "profile_hook": _attach_profile,
-        "cpu_events": _attach_events,
-        "cpu_txn": _attach_txn,
-        "machine_events": _attach_machine_events,
-    }
+    ATTACHERS = {**PINNING_ATTACHERS, **FAST_ATTACHERS}
 
     @pytest.mark.parametrize("hook", sorted(ATTACHERS))
     def test_single_hook_forces_reference(self, hook):
+        """The step follows the dormancy rule, and the observer sees
+        what it sees on ``fastpath=False``."""
         module = workloads.get("fib")
         compiled = compile_source(module.source(), mode="eager")
         config = MachineConfig(num_processors=2)
         _, dormant = _dormant_baseline(compiled, config, (9,))
 
-        machine = _build(compiled, config, True)
-        self.ATTACHERS[hook](machine)
-        result = machine.run(entry=compiled.entry_label("main"), args=(9,))
-        assert machine.loop_used == "reference"
-        assert machine.cpus[0].jit_runs == 0
-        assert result.value == dormant.value
-        assert result.cycles == dormant.cycles
-        for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
-            assert cpu.stats.snapshot() == dormant_row
+        witnesses = []
+        for fastpath in (True, False):
+            machine = _build(compiled, config, fastpath)
+            witness = self.ATTACHERS[hook](machine)
+            result = machine.run(entry=compiled.entry_label("main"),
+                                 args=(9,))
+            witnesses.append(witness())
+            if fastpath:
+                _assert_step_for(machine, hook)
+            assert result.value == dormant.value
+            assert result.cycles == dormant.cycles
+            for cpu, dormant_row in zip(machine.cpus,
+                                        dormant.stats.per_cpu):
+                assert cpu.stats.snapshot() == dormant_row
+        assert witnesses[0] == witnesses[1]
 
     def test_lifetime_observation_conserves(self):
         """PR 4 conservation: a threads=True observation (which wires
@@ -258,6 +310,8 @@ class TestFallbackMatrix:
         assert obs.lifetime.finalize(machine).check()["exact"]
 
     def test_sampler_forces_reference(self):
+        """The sampler keeps the fast step: its deadline bounds the
+        slice, so the JIT never steps over a window boundary."""
         module = workloads.get("fib")
         compiled = compile_source(module.source(), mode="eager")
         config = MachineConfig(num_processors=2)
@@ -267,13 +321,17 @@ class TestFallbackMatrix:
         obs = Observation(events=False, window=512)
         obs.attach(machine)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
-        assert machine.loop_used == "reference"
+        assert machine.loop_used == "fast"
+        assert any(cpu.jit_runs > 0 for cpu in machine.cpus)
+        assert result.value == dormant.value
         assert result.cycles == dormant.cycles
+        for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
+            assert cpu.stats.snapshot() == dormant_row
 
 
 class TestJitFallbackMatrix:
     """The fallback matrix again, with the JIT axis explicit: a hooked
-    run (reference loop, JIT never fires) and a closure-tier run
+    run (on whichever step the rule picks) and a closure-tier run
     (``jit=False``) must both be cycle-identical to the dormant
     JIT-enabled fast run."""
 
@@ -288,8 +346,7 @@ class TestJitFallbackMatrix:
         machine = _build(compiled, config, True, jit=True)
         TestFallbackMatrix.ATTACHERS[hook](machine)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
-        assert machine.loop_used == "reference"
-        assert all(not cpu.jit_runs for cpu in machine.cpus)
+        _assert_step_for(machine, hook)
         assert result.value == dormant.value
         assert result.cycles == dormant.cycles
         for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
@@ -309,3 +366,88 @@ class TestJitFallbackMatrix:
         assert result.cycles == dormant.cycles
         for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
             assert cpu.stats.snapshot() == dormant_row
+
+
+# -- observation on the fast step ----------------------------------------------
+
+#: Event payload keys holding raw thread ids.
+_TID_KEYS = ("tid", "parent", "waker", "victim_tid")
+_THREAD_NAME = re.compile(r"thread-(\d+)")
+
+
+def _dense_events(bus):
+    """The bus's events as dicts, raw tids renumbered densely in
+    first-seen order (raw tids come from a process-global counter).
+    ``victim`` is a node index and stays as it is."""
+    dense = {}
+
+    def renumber(tid):
+        return dense.setdefault(tid, len(dense))
+
+    records = []
+    for event in bus:
+        record = event.to_dict()
+        for key in _TID_KEYS:
+            if record.get(key) is not None:
+                record[key] = renumber(record[key])
+        for key, value in record.items():
+            if isinstance(value, str):
+                record[key] = _THREAD_NAME.sub(
+                    lambda m: "thread-%d" % renumber(int(m.group(1))), value)
+        records.append(record)
+    return records
+
+
+#: (workload, compile mode, processors, memory mode, args)
+OBSERVED_CELLS = [
+    ("fib", "sequential", 1, "ideal", (10,)),
+    ("queens", "sequential", 1, "ideal", (4,)),
+    ("fib", "eager", 2, "ideal", (9,)),
+    ("fib", "eager", 4, "ideal", (9,)),
+    ("fib", "lazy", 2, "ideal", (9,)),
+    ("fib", "lazy", 16, "ideal", (10,)),
+    ("fib", "eager", 4, "coherent", (8,)),
+    ("fib", "lazy", 16, "coherent", (9,)),
+]
+
+
+def _cell_id(cell):
+    name, mode, processors, memory_mode, _ = cell
+    return "%s-%s-p%d-%s" % (name, mode, processors, memory_mode)
+
+
+class TestObservedLockstep:
+    """A full observation (events, 256-cycle sampler windows and, on
+    coherent memory, transaction traces) keeps the fast step, and on
+    it records exactly what it records on ``fastpath=False``."""
+
+    @pytest.mark.parametrize("cell", OBSERVED_CELLS, ids=_cell_id)
+    def test_observation_matches_reference(self, cell):
+        name, mode, processors, memory_mode, args = cell
+        module = workloads.get(name)
+        compiled = compile_source(module.source(), mode=mode)
+        config = MachineConfig(num_processors=processors,
+                               memory_mode=memory_mode)
+        dormant_machine, _ = _dormant_baseline(compiled, config, args)
+
+        runs = []
+        for fastpath in (True, False):
+            machine = _build(compiled, config, fastpath)
+            obs = Observation(events=True, capacity=None, window=256,
+                              txn=memory_mode == "coherent")
+            obs.attach(machine)
+            result = machine.run(entry=compiled.entry_label("main"),
+                                 args=args)
+            runs.append((machine, result, obs))
+        (fast_machine, fast, fast_obs), (ref_machine, ref, ref_obs) = runs
+
+        assert fast.value == module.reference(*args)
+        _assert_lockstep((fast_machine, fast), (ref_machine, ref))
+        for dormant_cpu, cpu in zip(dormant_machine.cpus, fast_machine.cpus):
+            if dormant_cpu.jit_runs:
+                assert cpu.jit_runs > 0
+        assert _dense_events(fast_obs.bus) == _dense_events(ref_obs.bus)
+        assert fast_obs.sampler.windows == ref_obs.sampler.windows
+        if fast_obs.txn is not None:
+            assert fast_obs.txn.finished
+            assert fast_obs.txn.to_payload() == ref_obs.txn.to_payload()

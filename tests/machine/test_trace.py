@@ -68,7 +68,7 @@ class TestTracer:
         compiled = compile_source(FIB, mode="sequential")
         machine = AlewifeMachine(compiled.program, MachineConfig())
         for cpu in machine.cpus:
-            assert cpu.trace_hook is None
+            assert cpu.instr_hooks == []
             assert cpu.trap_hook is None
 
 

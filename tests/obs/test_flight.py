@@ -1,6 +1,6 @@
-"""Flight recorder + hang watchdog: detection, post-mortems, and the
-fast-path eligibility contract (coarse subscriptions must not pin the
-machine onto the reference loop)."""
+"""Flight recorder + hang watchdog: detection, post-mortems, the
+fast-path eligibility contract (an event bus must not pin the machine
+onto the reference loop), and the attach order with an Observation."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.isa.assembler import assemble
 from repro.lang.run import build_mult_machine, run_mult
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
-from repro.obs import EventBus, EventKind, FlightRecorder, Watchdog
+from repro.obs import EventKind, FlightRecorder, Watchdog
 from repro.runtime import stubs
 from repro.runtime.sync import SYNC_ASM
 
@@ -171,8 +171,8 @@ class TestLivelockDetection:
 
 class TestFastPathEligibility:
     def test_watchdog_keeps_fast_loop(self):
-        """The flight recorder's coarse bus must not force the
-        reference loop: that is the whole point of EventBus(coarse=True)."""
+        """The flight recorder's bus must not force the reference
+        loop: an always-on recorder has to be cheap."""
         machine, compiled, _ = _deadlocked_machine()
         with pytest.raises(HangDetected):
             machine.run(entry=compiled.entry_label("main"))
@@ -192,8 +192,8 @@ class TestFastPathEligibility:
 
     def test_existing_observation_bus_is_reused(self):
         """When an Observation already owns the event bus, the recorder
-        subscribes to it instead of installing a second bus — and that
-        fine bus still pins the reference loop as before."""
+        subscribes to it instead of installing a second bus, and the
+        shared bus keeps the fast loop."""
         from repro.obs import Observation
         machine, compiled = build_mult_machine(FIB, processors=1)
         obs = Observation(events=True)
@@ -203,8 +203,36 @@ class TestFastPathEligibility:
         assert machine.events is obs.bus
         result = machine.run(entry=compiled.entry_label("main"), args=(8,))
         assert result.value == 21
-        assert machine.loop_used == "reference"
+        assert machine.loop_used == "fast"
+        assert machine.cpus[0].jit_runs > 0
         assert any(flight.rings.values())
+
+    def test_observation_then_watchdog_fills_rings(self):
+        """The working order: the watchdog's recorder subscribes to the
+        Observation's bus, so a hang post-mortem keeps its event tails."""
+        from repro.obs import Observation
+        machine, compiled = build_mult_machine(FIB, processors=2)
+        obs = Observation(events=True)
+        obs.attach(machine)
+        watchdog = Watchdog().attach(machine)
+        result = machine.run(entry=compiled.entry_label("main"), args=(9,))
+        assert result.value == 34
+        assert machine.events is obs.bus
+        assert sum(len(ring) for ring in watchdog.flight.rings.values()) > 0
+
+    def test_watchdog_then_observation_is_refused(self):
+        """The other order would replace the recorder's bus and leave
+        its rings empty; the machine refuses it and names the order."""
+        from repro.obs import Observation
+        machine, _ = build_mult_machine(FIB, processors=2)
+        watchdog = Watchdog().attach(machine)
+        recorder_bus = machine.events
+        with pytest.raises(ValueError, match="Observation before"):
+            Observation(events=True).attach(machine)
+        assert machine.events is recorder_bus
+        assert all(cpu.events is recorder_bus for cpu in machine.cpus)
+        assert machine.sampler is None
+        watchdog.detach()
 
     def test_flight_events_match_reference_loop(self):
         """Same program, fast loops vs reference loop: the coarse rings
@@ -236,10 +264,8 @@ class TestFlightRecorder:
         assert flight.rings[0]
 
     def test_coarse_bus_excludes_cache_noise(self):
-        bus = EventBus(coarse=True)
         from repro.obs.flight import COARSE_KINDS
         assert EventKind.CACHE_EVICT not in COARSE_KINDS
         assert EventKind.DIRECTORY_READ not in COARSE_KINDS
         assert EventKind.TRAP_ENTER in COARSE_KINDS
         assert EventKind.CONTEXT_SWITCH in COARSE_KINDS
-        assert bus.coarse

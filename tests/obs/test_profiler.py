@@ -69,5 +69,5 @@ class TestHotPathProfiler:
         total = obs.profiler.total_cycles
         obs.detach()
         for cpu in obs.machine.cpus:
-            assert cpu.profile_hook is None
+            assert cpu.instr_hooks == []
         assert obs.profiler.total_cycles == total

@@ -28,7 +28,7 @@ class TestDormantHooks:
         assert machine.runtime.futures.events is None
         for cpu in machine.cpus:
             assert cpu.events is None
-            assert cpu.profile_hook is None
+            assert cpu.instr_hooks == []
             assert cpu.trap_hook is None
         fabric = machine.fabric
         assert fabric.network.events is None
@@ -74,7 +74,7 @@ class TestAttachDetach:
         assert fabric.network.events is bus
         for cpu in machine.cpus:
             assert cpu.events is bus
-            assert cpu.profile_hook is not None
+            assert len(cpu.instr_hooks) == 1
         for component in (fabric.caches + fabric.controllers
                           + fabric.directories):
             assert component.events is bus
@@ -103,7 +103,7 @@ class TestAttachDetach:
         assert machine.sampler is None
         for cpu in machine.cpus:
             assert cpu.events is None
-            assert cpu.profile_hook is None
+            assert cpu.instr_hooks == []
             assert cpu.txn is None
         assert machine.fabric.network.events is None
         assert machine.fabric.network.txn is None

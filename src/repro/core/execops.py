@@ -37,10 +37,11 @@ the generated code does not inline.  Both tiers are held to the same
 lockstep contract against the reference if-chain.
 
 Cycle accounting contract: handlers charge "useful" cycles inline
-(``cpu.cycles``/``stats.useful``/``stats._total``) but still honor the
-dormant observability hook — ``cpu.lifetime.on_charge`` fires exactly
-as :meth:`Processor.charge` would.  All other categories go through
-``cpu.charge`` itself.
+(``cpu.cycles``/``stats.useful``/``stats._total``) and every other
+category through ``cpu.charge``; either way the clock and the category
+counters move together, before any trap reaches the run-time system.
+Observers read those counters (the sampler, the lifetime accountant)
+instead of hooking individual charges.
 """
 
 from repro.core.psr import C_BIT, FE_BIT, N_BIT, V_BIT, Z_BIT
@@ -197,9 +198,6 @@ def _factory_lui(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         return npc, npc + 4
 
     return ExecEntry(instr, run)
@@ -220,9 +218,6 @@ def _factory_oril(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         return npc, npc + 4
 
     return ExecEntry(instr, run)
@@ -278,9 +273,6 @@ def _factory_alu(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, npc + 4
 
         return ExecEntry(instr, run)
@@ -309,9 +301,6 @@ def _factory_alu(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, npc + 4
 
         return ExecEntry(instr, run)
@@ -333,9 +322,6 @@ def _factory_alu(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         return npc, npc + 4
 
     return ExecEntry(instr, run)
@@ -372,9 +358,6 @@ def _factory_load(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         if cycles > 1:
             cpu.charge(cycles - 1, "stall")
         psr = frame.psr
@@ -425,9 +408,6 @@ def _factory_store(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         if cycles > 1:
             cpu.charge(cycles - 1, "stall")
         psr = frame.psr
@@ -455,9 +435,6 @@ def _factory_branch(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, pc + off
 
     elif op is Opcode.BN:
@@ -467,9 +444,6 @@ def _factory_branch(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, npc + 4
 
     else:
@@ -480,9 +454,6 @@ def _factory_branch(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             if test(frame.psr.value):
                 return npc, pc + off
             return npc, npc + 4
@@ -499,9 +470,6 @@ def _factory_call(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         frame.regs[ra] = (pc + 8) & WORD_MASK
         return npc, pc + off
 
@@ -518,9 +486,6 @@ def _factory_jmpl(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         regs = frame.regs
         base = regs[rs1] if rs1f else cpu.globals[g1]
         target = (base + imm) & WORD_MASK
@@ -548,9 +513,6 @@ def _factory_frame(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         count = len(cpu.frames)
         if op is Opcode.INCFP:
             cpu.fp = (cpu.fp + 1) % count
@@ -582,9 +544,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, npc + 4
 
         return ExecEntry(instr, run)
@@ -596,9 +555,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             cpu.halted = True
             return pc, npc  # PC frozen at the halt
 
@@ -612,9 +568,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             raise TrapSignal(Trap(
                 TrapKind.SOFTWARE, vector=vector, instr=instr, pc=pc))
 
@@ -629,9 +582,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             if rd:
                 value = frame.psr.value & WORD_MASK
                 if rdf:
@@ -651,9 +601,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             frame.psr.value = (
                 frame.regs[rs1] if rs1f else cpu.globals[g1])
             return npc, npc + 4
@@ -667,9 +614,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             frame.return_from_trap(retry=True)
             return frame.pc, frame.npc
 

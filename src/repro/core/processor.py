@@ -220,8 +220,6 @@ class Processor:
         self.events = None
         #: Optional transaction tracer (see :mod:`repro.obs.txn`).
         self.txn = None
-        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`).
-        self.lifetime = None
         #: Opaque slot for the run-time system (scheduler, queues...).
         self.env = None
 
@@ -258,8 +256,6 @@ class Processor:
             raise ProcessorError("negative cycle charge")
         self.cycles += cycles
         self.stats._charge[category](cycles)
-        if self.lifetime is not None:
-            self.lifetime.on_charge(self, cycles, category)
 
     # -- IPI delivery (Section 3.4) -----------------------------------------
 
@@ -402,11 +398,11 @@ class Processor:
 
         Precondition, checked once per run by
         :meth:`~repro.machine.alewife.AlewifeMachine._hooks_dormant`:
-        no :attr:`instr_hooks`, no ``watch_hook`` and no ``lifetime``
-        accountant, since a block neither calls per-instruction
-        callbacks nor charges instruction by instruction.  Event buses
-        and transaction tracers may be attached: nothing a block
-        inlines emits an event or opens a transaction.
+        no :attr:`instr_hooks` and no ``watch_hook``, since a block
+        calls no per-instruction callback.  Event buses, transaction
+        tracers and the lifetime accountant may be attached: nothing a
+        block inlines emits an event, opens a transaction or moves FP,
+        and a block commits its batched counters before it returns.
         """
         if self.halted:
             return 0

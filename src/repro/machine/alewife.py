@@ -136,21 +136,21 @@ class AlewifeMachine:
     def _hooks_dormant(self):
         """True when the fast step may run; the one place that decides.
 
-        Three observers watch single instructions or single charges and
-        so pin the reference step: a per-instruction hook
-        (``cpu.instr_hooks``: the tracer, the hot-path profiler), a
-        ``watch_hook`` (the monitor's watchpoints) and a ``lifetime``
-        accountant.  Nothing else does.  Event buses and transaction
-        tracers see only traps, scheduling, futures, network messages
-        and memory transactions, none of which a JIT block inlines, and
-        the lockstep harness pins their cycle stamps equal on both
-        steps.  The sampler and watchdog polls are deadlines in the
-        slice bound (see :class:`MachineStepper`), so they run at the
-        same clocks on either step.
+        Two observers watch single instructions and so pin the
+        reference step: a per-instruction hook (``cpu.instr_hooks``: the
+        tracer, the hot-path profiler) and a ``watch_hook`` (the
+        monitor's watchpoints).  Nothing else does.  Event buses and
+        transaction tracers see only traps, scheduling, futures,
+        network messages and memory transactions, none of which a JIT
+        block inlines, and the lifetime accountant reads the cycle
+        counters when the run-time system changes a node's owner; the
+        lockstep harness pins what each records equal on both steps.
+        The sampler and watchdog polls are deadlines in the slice bound
+        (see :class:`MachineStepper`), so they run at the same clocks
+        on either step.
         """
         for cpu in self.cpus:
-            if (cpu.instr_hooks or cpu.watch_hook is not None
-                    or cpu.lifetime is not None):
+            if cpu.instr_hooks or cpu.watch_hook is not None:
                 return False
         return True
 

@@ -4,11 +4,10 @@ The simulator's components carry *dormant* instrumentation slots — a
 single ``events is not None`` test at each emission site — that wake up
 when an :class:`Observation` is attached to a machine.  One rule,
 ``AlewifeMachine._hooks_dormant``, decides what that costs: observers of
-single instructions or single charges (the tracer and profiler's
-``instr_hooks``, the monitor's ``watch_hook``, the lifetime accountant)
-move the run onto the reference step; events, the sampler, transaction
-traces and the flight recorder are recorded on the fast step, with the
-same cycle stamps.  The consumers:
+single instructions (the tracer and profiler's ``instr_hooks``, the
+monitor's ``watch_hook``) move the run onto the reference step; events,
+the sampler, transaction traces, the lifetime accountant and the flight
+recorder are recorded on the fast step, with the same cycle stamps.  The consumers:
 
 * the :class:`~repro.obs.events.EventBus` — a bounded ring of typed,
   structured events (context switches, traps, remote misses, directory

@@ -5,14 +5,24 @@ same lift for *threads*: every cycle of every virtual thread's life is
 attributed to exactly one bucket, so "why is speedup sublinear" becomes
 a table instead of a guess.  Two exact integer ledgers are kept:
 
-**Node-time ledger** (conserved machine-wide).  A dormant hook in
-:meth:`repro.core.processor.Processor.charge` — the only place a local
-clock ever advances — attributes every charged cycle to the thread in
-the active task frame (or to an *owner* pushed around charges that run
-with an empty frame: thread load/unload, lazy-steal setup, the resolve
-a thread performs after its own retirement).  Cycles charged with no
-thread in context are per-node overhead (idle polling, IPI delivery at
-idle).  The invariant is exact, by construction::
+**Node-time ledger** (conserved machine-wide).  The accountant reads
+each processor's six cycle-category counters (``cpu.stats``), the same
+counters the interval sampler reads, so it observes from the fast step
+as well as the reference one.  :meth:`LifetimeAccountant.settle` gives
+a node's counter growth since its previous settle to the node's
+*owner*: the top of an owner stack pushed around charges that run with
+an empty frame (thread load/unload, lazy-steal setup, the resolve a
+thread performs after its own retirement), else the thread in the
+active task frame.  Cycles charged with no owner are per-node overhead
+(idle polling, IPI delivery at idle).  The run-time system settles
+immediately before every change of owner — loading, unloading or
+retiring a thread, moving FP, pushing or popping an owner — and
+:meth:`~LifetimeAccountant.finalize` settles every node, so between two
+settles the owner is constant and the attribution is exact.  Every
+clock advance (``Processor.charge``, the inline charges of the
+predecoded closures, the batched charges of JIT blocks) bumps those
+counters before control reaches the run-time system.  The invariant is
+exact, by construction::
 
     sum(per-thread on-cpu) + sum(per-node overhead) + sum(end skew)
         == machine.time * num_nodes
@@ -21,6 +31,13 @@ where ``end skew`` is each processor's distance from the final
 ``machine.time`` (the run ends when the root thread exits; other clocks
 stop a few cycles short).  No float ever enters the ledger and there is
 no "other" bucket.
+
+Precondition: while an accountant is attached, only the run-time
+system writes ``cpu.fp`` or ``frame.thread``.  The frame-pointer
+instructions (``INCFP``/``DECFP``/``STFP``) would move FP behind its
+back; the Mul-T compiler and run-time system never emit them, and only
+Mul-T entry points (``april run``, ``explain``, ``report`` and sweep
+jobs) attach an accountant.
 
 **Per-thread wall ledger**.  The event stream (spawn / load / unload /
 exit / wake) partitions each thread's life ``[spawn, end]`` into
@@ -65,6 +82,9 @@ WAIT_KEYS = ("queue_wait", "runnable_unloaded", "blocked_future",
              "loaded_wait")
 
 _THREAD_NAME = re.compile(r"thread-(\d+)")
+
+#: A node's (total, category counters) before its first settle.
+_NO_CYCLES = (0, (0,) * len(ONCPU_CLASS))
 
 
 class ConservationError(Exception):
@@ -144,8 +164,8 @@ class LifetimeAccountant:
 
     Wire it through :class:`repro.obs.session.Observation` with
     ``threads=True``; it subscribes to the event bus synchronously (so
-    ring capacity never truncates its view) and hooks processor charge
-    via the dormant ``cpu.lifetime`` slot.
+    ring capacity never truncates its view), and the run-time system
+    calls :meth:`settle` before each change of a node's owner.
     """
 
     def __init__(self):
@@ -158,6 +178,7 @@ class LifetimeAccountant:
         self.end_cycle = None
         self.nodes = None
         self._owner = {}          # node -> [tid] override stack
+        self._settled = {}        # node -> (total, counters) at last settle
         self._frame_free = {}     # (node, frame) -> (cycle, tid)
         self._finalized = False
 
@@ -173,19 +194,31 @@ class LifetimeAccountant:
         bus.subscribe(self._on_wake, EventKind.THREAD_WAKE)
         bus.subscribe(self._on_steal, EventKind.THREAD_STEAL)
 
-    # -- node-time ledger (charge hook) ----------------------------------
+    # -- node-time ledger (counter settles) ------------------------------
 
     def push_owner(self, cpu, tid):
         """Attribute subsequent charges on this node to ``tid``."""
+        self.settle(cpu)
         self._owner.setdefault(cpu.node_id, []).append(tid)
 
     def pop_owner(self, cpu):
+        self.settle(cpu)
         self._owner[cpu.node_id].pop()
 
-    def on_charge(self, cpu, cycles, category):
-        """The :meth:`Processor.charge` hook — every cycle lands here."""
-        if not cycles:
-            return
+    def settle(self, cpu):
+        """Give the node's cycles charged since its last settle to its
+        current owner, category by category."""
+        stats = cpu.stats
+        total, last = self._settled.get(cpu.node_id, _NO_CYCLES)
+        if stats.total_cycles == total:
+            return                # counters only grow: nothing charged
+        now = [getattr(stats, category) for category in ONCPU_CLASS]
+        self._settled[cpu.node_id] = (stats.total_cycles, now)
+        for category, value, before in zip(ONCPU_CLASS, now, last):
+            if value != before:
+                self._attribute(cpu, value - before, category)
+
+    def _attribute(self, cpu, cycles, category):
         node = cpu.node_id
         self.node_attr[node] = self.node_attr.get(node, 0) + cycles
         stack = self._owner.get(node)
@@ -322,6 +355,7 @@ class LifetimeAccountant:
         self.end_cycle = machine.time
         self.nodes = len(machine.cpus)
         for cpu in machine.cpus:
+            self.settle(cpu)
             self.node_skew[cpu.node_id] = machine.time - cpu.cycles
             self.node_attr.setdefault(cpu.node_id, 0)
         for tid in self.order:

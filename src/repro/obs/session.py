@@ -7,10 +7,10 @@ through the machine's ``set_bus``/``set_txn``, which know every
 component carrying an ``events`` or ``txn`` slot.  Slots left ``None``
 cost one test at each emission site.
 
-Only the profiler and the lifetime accountant move a run onto the
-reference step (see ``AlewifeMachine._hooks_dormant``); events, the
-sampler and transactions are recorded on the fast step with the same
-cycle stamps.  Attach an Observation before a ``Watchdog``: the
+Only the profiler moves a run onto the reference step (see
+``AlewifeMachine._hooks_dormant``); events, the sampler, transactions
+and the lifetime accountant are recorded on the fast step with the
+same cycle stamps.  Attach an Observation before a ``Watchdog``: the
 watchdog's flight recorder then shares the Observation's bus, and the
 other order raises :class:`ValueError`.
 """
@@ -81,8 +81,6 @@ class Observation:
             lifetime.subscribe(bus)
             machine.runtime.lifetime = lifetime
             machine.runtime.scheduler.lifetime = lifetime
-            for cpu in machine.cpus:
-                cpu.lifetime = lifetime
         if self.txn is not None:
             machine.set_txn(self.txn)
 
@@ -99,8 +97,6 @@ class Observation:
         runtime = machine.runtime
         runtime.lifetime = None
         runtime.scheduler.lifetime = None
-        for cpu in machine.cpus:
-            cpu.lifetime = None
         if self.profiler is not None:
             self.profiler.detach(machine)
 
@@ -227,9 +223,9 @@ def for_job(config):
     summary, and on any multiprocessor cell they run the lifetime
     accountant so the cached result carries a critical-path summary
     (``april speedup`` prints the dominant blocker per cell from it).
-    Sequential ideal-mode runs return ``None`` — the plain
-    ``machine_report`` already covers everything observable there, and
-    skipping the Observation keeps every dormant fast path.
+    None of these leaves the fast step, so every job keeps the JIT.
+    Sequential ideal-mode runs return ``None``: the plain
+    ``machine_report`` already covers everything observable there.
     """
     coherent = getattr(config, "memory_mode", "ideal") == "coherent"
     parallel = getattr(config, "num_processors", 1) > 1

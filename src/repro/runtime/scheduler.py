@@ -33,9 +33,10 @@ class Scheduler:
         self.steals = 0
         #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
         self.events = None
-        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`);
-        #: load/unload costs are charged while no thread is active, so
-        #: the accountant is told which thread owns them.
+        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`),
+        #: settled before every change of a node's owner; load/unload
+        #: costs are charged while no thread is active, so the
+        #: accountant is told which thread owns them.
         self.lifetime = None
 
     def counters(self):
@@ -81,6 +82,9 @@ class Scheduler:
         pointer, start PC); threads with ``saved_state`` are restored
         from it instead.
         """
+        lifetime = self.lifetime
+        if lifetime is not None:
+            lifetime.settle(cpu)
         if frame is None:
             frame = cpu.free_frame()
         if frame is None:
@@ -100,7 +104,6 @@ class Scheduler:
             frame.thread = thread
             bootstrap(cpu, frame, thread)
         frame.psr.tid = thread.tid & 0xFFFF
-        lifetime = self.lifetime
         if lifetime is not None:
             lifetime.push_owner(cpu, thread.tid)
         cpu.charge(self.config.thread_load_cycles, "switch")
@@ -118,10 +121,12 @@ class Scheduler:
         thread = frame.thread
         if thread is None:
             raise RuntimeSystemError("unloading an empty frame")
+        lifetime = self.lifetime
+        if lifetime is not None:
+            lifetime.settle(cpu)
         thread.saved_state = frame.save_state()
         thread.transition(new_state)
         frame.thread = None
-        lifetime = self.lifetime
         if lifetime is not None:
             lifetime.push_owner(cpu, thread.tid)
         cpu.charge(self.config.thread_unload_cycles, "switch")
@@ -143,6 +148,8 @@ class Scheduler:
 
     def retire_thread(self, frame, cpu=None):
         """Free the frame of a thread that finished (no state to save)."""
+        if self.lifetime is not None:
+            self.lifetime.settle(cpu)
         thread = frame.thread
         thread.transition(ThreadState.DONE)
         frame.thread = None
@@ -170,6 +177,8 @@ class Scheduler:
 
     def activate_frame(self, cpu, frame):
         """Point FP at a frame (the context-switch FP change)."""
+        if self.lifetime is not None:
+            self.lifetime.settle(cpu)
         cpu.fp = frame.index
 
     # -- work finding ---------------------------------------------------------------

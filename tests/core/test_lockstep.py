@@ -292,9 +292,9 @@ class TestFallbackMatrix:
         assert witnesses[0] == witnesses[1]
 
     def test_lifetime_observation_conserves(self):
-        """PR 4 conservation: a threads=True observation (which wires
-        the lifetime accountant, and therefore the reference loop) must
-        balance its ledger and agree with the dormant run's clock."""
+        """A threads=True observation keeps the fast step (the
+        accountant settles the cycle counters instead of hooking each
+        charge), leaves every cycle unchanged and balances its ledger."""
         module = workloads.get("fib")
         compiled = compile_source(module.source(), mode="eager")
         config = MachineConfig(num_processors=2)
@@ -304,9 +304,12 @@ class TestFallbackMatrix:
         obs = Observation(threads=True, window=4096)
         obs.attach(machine)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
-        assert machine.loop_used == "reference"
-        assert result.cycles == dormant.cycles
+        assert machine.loop_used == "fast"
+        assert any(cpu.jit_runs > 0 for cpu in machine.cpus)
         assert result.value == dormant.value
+        assert result.cycles == dormant.cycles
+        for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
+            assert cpu.stats.snapshot() == dormant_row
         assert obs.lifetime.finalize(machine).check()["exact"]
 
     def test_sampler_forces_reference(self):
@@ -417,9 +420,10 @@ def _cell_id(cell):
 
 
 class TestObservedLockstep:
-    """A full observation (events, 256-cycle sampler windows and, on
-    coherent memory, transaction traces) keeps the fast step, and on
-    it records exactly what it records on ``fastpath=False``."""
+    """A full observation (events, 256-cycle sampler windows, the
+    lifetime accountant and, on coherent memory, transaction traces)
+    keeps the fast step, and on it records exactly what it records on
+    ``fastpath=False``."""
 
     @pytest.mark.parametrize("cell", OBSERVED_CELLS, ids=_cell_id)
     def test_observation_matches_reference(self, cell):
@@ -434,7 +438,7 @@ class TestObservedLockstep:
         for fastpath in (True, False):
             machine = _build(compiled, config, fastpath)
             obs = Observation(events=True, capacity=None, window=256,
-                              txn=memory_mode == "coherent")
+                              txn=memory_mode == "coherent", threads=True)
             obs.attach(machine)
             result = machine.run(entry=compiled.entry_label("main"),
                                  args=args)
@@ -448,6 +452,7 @@ class TestObservedLockstep:
                 assert cpu.jit_runs > 0
         assert _dense_events(fast_obs.bus) == _dense_events(ref_obs.bus)
         assert fast_obs.sampler.windows == ref_obs.sampler.windows
+        assert fast_obs.explain() == ref_obs.explain()
         if fast_obs.txn is not None:
             assert fast_obs.txn.finished
             assert fast_obs.txn.to_payload() == ref_obs.txn.to_payload()

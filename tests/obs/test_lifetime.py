@@ -7,6 +7,7 @@ import pytest
 from repro.lang.run import run_mult
 from repro.machine.config import MachineConfig
 from repro.obs import ConservationError, Observation
+from repro.obs.lifetime import ONCPU_CLASS
 from tests.obs.conftest import FIB, observed_run
 
 
@@ -84,6 +85,43 @@ class TestConservation:
             lifetime.threads[tid].oncpu.get("running", 0) + 1)
         with pytest.raises(ConservationError):
             lifetime.check()
+
+
+class TestCategoryIdentity:
+    """The ledger files each cycle under the category the processor
+    counted it in, not just somewhere: conservation alone checks only
+    totals."""
+
+    @pytest.mark.parametrize("processors,coherent,mode", [
+        (2, False, "eager"),
+        (4, False, "lazy"),
+        (4, True, "eager"),
+    ])
+    def test_oncpu_plus_overhead_equals_counters(self, processors,
+                                                 coherent, mode):
+        _, obs = lifetime_run(processors=processors, coherent=coherent,
+                              mode=mode)
+        lifetime = obs.lifetime.finalize(obs.machine)
+        counted = {}
+        filed = {}
+        for cpu in obs.machine.cpus:
+            node = cpu.node_id
+            overhead = lifetime.node_overhead.get(node, {})
+            attributed = 0
+            for category, klass in ONCPU_CLASS.items():
+                value = getattr(cpu.stats, category)
+                attributed += value
+                counted[klass] = counted.get(klass, 0) + value
+                filed[klass] = (filed.get(klass, 0)
+                                + overhead.get(category, 0))
+                assert overhead.get(category, 0) <= value
+            assert lifetime.node_attr[node] == attributed
+        for ledger in lifetime.threads.values():
+            for klass, cycles in ledger.oncpu.items():
+                filed[klass] = filed.get(klass, 0) + cycles
+        assert set(counted) == set(ONCPU_CLASS.values())
+        for klass in counted:
+            assert filed.get(klass, 0) == counted[klass], klass
 
 
 class TestOwnerAttribution:
